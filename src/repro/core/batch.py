@@ -40,6 +40,15 @@ relaxation — every M/D/1 response is at least its service time, and the
 exact-MVA response ``R_i = s_i (1 + Q_i)`` is at least ``s_i``), the
 quantity branch-and-bound pruning needs.  See ``docs/COST.md`` for the
 admissibility argument.
+
+Folding a platform into its :class:`~repro.core.hierarchy.MemoryHierarchy`
+is per-case Python work that repeats whenever a caller evaluates the
+same platform again.  Both entry points therefore take an optional
+``hierarchy_memo``: a caller-owned dict of folds keyed on ``(spec,
+include_peer_cache, remote_cached_fraction, cache_capacity_factor)``.
+A fold is a pure function of that key, so reusing one changes no
+answer.  Without a memo, a call still folds each distinct platform
+once.
 """
 
 from __future__ import annotations
@@ -153,10 +162,13 @@ class _LevelGroup:
         tau = np.empty((L, m))
         pop_minus_1 = np.empty((L, m))
         rate_fraction = np.empty((L, m))
+        dists: dict[int, StackDistanceModel] = {}
         for k, i in enumerate(members):
             h = hierarchies[i]
             case = cases[i]
-            dist = locality.rescaled(h.total_processes)
+            dist = dists.get(h.total_processes)
+            if dist is None:
+                dist = dists[h.total_processes] = locality.rescaled(h.total_processes)
             base[k] = h.base_cycles
             # Scalar: barrier_scale * barrier_term(pop) / gamma, with the
             # harmonic number summed by the scalar code path.
@@ -299,6 +311,25 @@ class _LevelGroup:
         return ((1.0 + self.gamma * total) / self.procs) / self.hz
 
 
+def _fold(
+    spec: PlatformSpec,
+    include_peer_cache: bool,
+    remote_cached_fraction: float,
+    cache_capacity_factor: float,
+    memo: dict,
+) -> MemoryHierarchy:
+    """``spec.hierarchy(...)``, folded at most once per ``memo``."""
+    key = (spec, include_peer_cache, remote_cached_fraction, cache_capacity_factor)
+    hierarchy = memo.get(key)
+    if hierarchy is None:
+        hierarchy = memo[key] = spec.hierarchy(
+            include_peer_cache=include_peer_cache,
+            remote_cached_fraction=remote_cached_fraction,
+            cache_capacity_factor=cache_capacity_factor,
+        )
+    return hierarchy
+
+
 def _build_groups(
     cases: list[BatchCase],
     locality: StackDistanceModel,
@@ -308,14 +339,15 @@ def _build_groups(
     include_peer_cache: bool,
     remote_cached_fraction: float,
     cache_capacity_factor: float,
+    hierarchy_memo: dict | None,
 ) -> list[_LevelGroup]:
+    memo = {} if hierarchy_memo is None else hierarchy_memo
     hierarchies = []
     members: dict[tuple[LevelKind, ...], list[int]] = {}
     for i, case in enumerate(cases):
-        h = case.spec.hierarchy(
-            include_peer_cache=include_peer_cache,
-            remote_cached_fraction=remote_cached_fraction,
-            cache_capacity_factor=cache_capacity_factor,
+        h = _fold(
+            case.spec, include_peer_cache, remote_cached_fraction,
+            cache_capacity_factor, memo,
         )
         hierarchies.append(h)
         members.setdefault(tuple(level.kind for level in h.levels), []).append(i)
@@ -380,6 +412,7 @@ def e_instr_seconds_batch(
     cache_capacity_factor: float = 1.0,
     contention_boost: float = 1.0,
     force_scalar: bool = False,
+    hierarchy_memo: dict | None = None,
 ) -> np.ndarray:
     """E(Instr) in seconds for every candidate, bit-identical to ``evaluate``.
 
@@ -389,7 +422,9 @@ def e_instr_seconds_batch(
     candidates come back ``inf`` under ``on_saturation="inf"``;
     ``"raise"`` replays the batch scalar so the exception carries the
     exact offending candidate.  ``force_scalar=True`` pins the scalar
-    lane (the property tests' reference).
+    lane (the property tests' reference).  ``hierarchy_memo`` is a
+    caller-owned dict of hierarchy folds to read and fill (see the
+    module docstring).
     """
     cases = _as_cases(
         specs, sharing_fraction, sharing_fresh_fraction, remote_rate_adjustment
@@ -413,6 +448,7 @@ def e_instr_seconds_batch(
         for group in _build_groups(
             cases, locality, gamma, barrier_scale, contention_boost,
             include_peer_cache, remote_cached_fraction, cache_capacity_factor,
+            hierarchy_memo,
         ):
             out[group.members] = group.e_instr_seconds(mode)
     if on_saturation == "raise" and not np.isfinite(out).all():
@@ -437,6 +473,7 @@ def e_instr_lower_bounds(
     sharing_fraction: float = 0.0,
     sharing_fresh_fraction: float = 1.0,
     cache_capacity_factor: float = 1.0,
+    hierarchy_memo: dict | None = None,
 ) -> np.ndarray:
     """Admissible lower bound on E(Instr) seconds per candidate.
 
@@ -447,6 +484,7 @@ def e_instr_lower_bounds(
     least ``s_i`` — so for every evaluation mode the true E(Instr) is
     ``>=`` this closed form.  No queueing, no bisection: O(levels) per
     candidate, which is what makes branch-and-bound pruning profitable.
+    ``hierarchy_memo`` is as for :func:`e_instr_seconds_batch`.
     """
     cases = _as_cases(
         specs, sharing_fraction, sharing_fresh_fraction, remote_rate_adjustment
@@ -458,11 +496,11 @@ def e_instr_lower_bounds(
     if not isinstance(locality, StackDistanceModel):
         # Duck-typed distributions take the scalar reference bound, which
         # only consumes the tail/rescaled protocol.
+        memo = {} if hierarchy_memo is None else hierarchy_memo
         for k, case in enumerate(cases):
-            hierarchy = case.spec.hierarchy(
-                include_peer_cache=include_peer_cache,
-                remote_cached_fraction=remote_cached_fraction,
-                cache_capacity_factor=cache_capacity_factor,
+            hierarchy = _fold(
+                case.spec, include_peer_cache, remote_cached_fraction,
+                cache_capacity_factor, memo,
             )
             lb_t = zero_contention_amat(
                 hierarchy, locality, gamma,
@@ -476,6 +514,7 @@ def e_instr_lower_bounds(
     for group in _build_groups(
         cases, locality, gamma, barrier_scale, 1.0,
         include_peer_cache, remote_cached_fraction, cache_capacity_factor,
+        hierarchy_memo,
     ):
         out[group.members] = group.lower_bound_seconds()
     return out

@@ -27,6 +27,7 @@ All rates are per cycle and all times in cycles throughout this library
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,12 +146,18 @@ def barrier_wait_time(lam_b: float, population: int) -> float:
     return barrier_cycle_time(lam_b, population) - 1.0 / lam_b
 
 
+@lru_cache(maxsize=4096)
 def barrier_term(population: int) -> float:
     """The rate-independent barrier summand of Eq. 11: H_c - 1.
 
     The barrier-variable access rate cancels when the barrier wait is
     folded into the average memory access time (the paper's Eq. 9 -> 11
     step), leaving the pure harmonic term 1/2 + 1/3 + ... + 1/c.
+
+    A pure function of the integer population, so it is cached: every
+    call returns the float of the first (the scalar summation the batch
+    lane's bit identity relies on).  Invalid populations are never
+    cached and raise every time.
     """
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")

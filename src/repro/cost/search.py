@@ -12,7 +12,9 @@ mechanisms:
    scalar :func:`~repro.core.execution.evaluate`) in chunks, and a
    per-engine memo keyed on ``(workload locality/gamma, spec, sharing,
    fresh, rra)`` reuses evaluations across queries (many budgets of one
-   workload share most candidates).
+   workload share most candidates).  A second per-engine memo keeps
+   each platform's folded hierarchy, so bounds and evaluations of every
+   query fold a platform once.
 2. **Branch-and-bound pruning** — candidates are visited in ascending
    order of the admissible zero-contention lower bound
    (:func:`repro.core.batch.e_instr_lower_bounds`); a candidate whose
@@ -274,6 +276,7 @@ def _search_core(
     seed_points: Sequence[tuple[float, float]] = (),
     memo: dict | None = None,
     chunk: int = _CHUNK,
+    hierarchies: dict | None = None,
 ) -> tuple[list[tuple[int, float, float]], int, int]:
     """Prune-and-evaluate one candidate set; the engine's exact core.
 
@@ -282,7 +285,9 @@ def _search_core(
     shard already evaluated (the incumbent exchange).  Returns
     ``(feasible, evaluated, memo_hits)`` where ``feasible`` holds
     ``(enumeration_index, price, e_instr_seconds)`` of every candidate
-    whose model was computed and came back finite.
+    whose model was computed and came back finite.  ``hierarchies`` is
+    the hierarchy-fold memo handed to the batch lane; without one the
+    call keeps its own, so bounds and evaluations share folds.
 
     Why the answers stay exact (docs/COST.md has the full argument): a
     candidate is pruned only when its admissible lower bound *strictly*
@@ -296,6 +301,8 @@ def _search_core(
     # differing in locality (alpha/beta/max_distance) or gamma, and the
     # memo outlives a single query.
     wkey = (locality, gamma)
+    if hierarchies is None:
+        hierarchies = {}
     cases = [_case_for(spec, workload, options) for _, spec, _ in candidates]
     feasible: list[tuple[int, float, float]] = []
     evaluated = 0
@@ -322,7 +329,7 @@ def _search_core(
         if misses:
             values = e_instr_seconds_batch(
                 [cases[p] for p in misses], locality, gamma,
-                **_batch_kwargs(options),
+                hierarchy_memo=hierarchies, **_batch_kwargs(options),
             )
             evaluated += len(misses)
             for p, value in zip(misses, values):
@@ -351,7 +358,8 @@ def _search_core(
         return feasible, evaluated, memo_hits
 
     bounds = e_instr_lower_bounds(
-        cases, locality, gamma, **_bound_kwargs(options)
+        cases, locality, gamma, hierarchy_memo=hierarchies,
+        **_bound_kwargs(options),
     )
     order = np.argsort(bounds, kind="stable")  # (bound, enumeration) asc
 
@@ -556,6 +564,9 @@ class DesignSearch:
             labelnames=("lane",),
         )
         self._memo: dict = {}
+        #: Folded hierarchies by (spec, knobs): bounded, like ``_memo``,
+        #: by the candidate space.
+        self._hierarchies: dict = {}
 
     # ------------------------------------------------------------------
     # Disk cache
@@ -639,7 +650,7 @@ class DesignSearch:
         if jobs <= 1 or len(candidates) < max(_MIN_SHARD_WORK, 2 * _PROBE):
             feasible, evaluated, memo_hits = _search_core(
                 workload, candidates, self.options, method,
-                memo=self._memo, chunk=self.chunk,
+                memo=self._memo, chunk=self.chunk, hierarchies=self._hierarchies,
             )
         else:
             feasible, evaluated, memo_hits = self._search_sharded(
@@ -684,7 +695,7 @@ class DesignSearch:
         candidates.append((next_index, current, current_price))
         feasible, evaluated, memo_hits = _search_core(
             workload, candidates, self.options, method,
-            memo=self._memo, chunk=self.chunk,
+            memo=self._memo, chunk=self.chunk, hierarchies=self._hierarchies,
         )
         return self._finish(
             workload, budget, candidates, feasible, evaluated, memo_hits
@@ -745,6 +756,7 @@ class DesignSearch:
                     feasible, evaluated, memo_hits = _search_core(
                         workload, candidates, options, method,
                         memo=self._memo, chunk=chunk,
+                        hierarchies=self._hierarchies,
                     )
                     outcome = self._finish(
                         q.workload, q.budget, candidates, feasible,
@@ -789,14 +801,14 @@ class DesignSearch:
         cases = [_case_for(spec, workload, self.options) for _, spec, _ in candidates]
         bounds = e_instr_lower_bounds(
             cases, workload.locality, workload.gamma,
-            **_bound_kwargs(self.options),
+            hierarchy_memo=self._hierarchies, **_bound_kwargs(self.options),
         )
         probe_positions = [int(p) for p in np.argsort(bounds, kind="stable")[:_PROBE]]
         probe = [candidates[p] for p in probe_positions]
         feasible, evaluated, memo_hits = _search_core(
             workload, probe, self.options,
             "exhaustive",  # the probe is tiny; evaluate it all
-            memo=self._memo, chunk=self.chunk,
+            memo=self._memo, chunk=self.chunk, hierarchies=self._hierarchies,
         )
         seed_points = tuple((price, seconds) for _, price, seconds in feasible)
         skip = frozenset(index for index, _, _ in probe)

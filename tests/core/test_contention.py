@@ -131,6 +131,14 @@ class TestBarrier:
         assert barrier_term(2) == pytest.approx(0.5)
         assert barrier_term(4) == pytest.approx(0.5 + 1 / 3 + 0.25)
 
+    def test_barrier_term_is_cached_on_population(self):
+        first = barrier_term(24)
+        assert first == harmonic_number(24) - 1.0
+        assert barrier_term(24) is first
+        for _ in range(2):  # a rejected population is never cached
+            with pytest.raises(ValueError):
+                barrier_term(0)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             barrier_cycle_time(0.0, 2)

@@ -5,9 +5,11 @@ for randomized platforms (SMP / COW / CLUMP, with and without L2, all
 networks), randomized workload parameters (alpha, beta, truncation,
 gamma, sharing, coherence adjustment, burstiness) and both analytic
 modes, ``e_instr_seconds_batch`` must equal per-spec ``evaluate`` with
-``==`` on float64 — including ``inf`` on saturated candidates.  The
-zero-contention lower bound must never exceed the true E(Instr) in any
-mode.
+``==`` on float64 — including ``inf`` on saturated candidates.  That
+holds too when the per-case knobs vary inside one batch (what
+``ExperimentRunner.calibrate`` sends), on topology-tree platforms, and
+when a hierarchy memo is shared across calls.  The zero-contention
+lower bound must never exceed the true E(Instr) in any mode.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core.execution import evaluate, evaluate_batch
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 from repro.sim.latencies import NetworkKind
+from repro.topology.canned import clump_of_smps_spec, deepen_spec
 
 KB = 1024
 MB = 1024 * KB
@@ -54,6 +57,50 @@ def _random_spec(rng: np.random.Generator, i: int) -> PlatformSpec:
     )
 
 
+def _random_tree_spec(rng: np.random.Generator, i: int) -> PlatformSpec:
+    """A two-level topology tree: a deepened flat cluster or a clump of SMPs."""
+    cache_kb = int(rng.choice([2, 64, 256]))
+    memory_mb = int(rng.choice([4, 32, 128]))
+    intra = _NETWORKS[int(rng.integers(len(_NETWORKS)))]
+    inter = _NETWORKS[int(rng.integers(len(_NETWORKS)))]
+    if rng.random() < 0.5:
+        N = int(rng.choice([4, 8, 16]))
+        flat = PlatformSpec(
+            name=f"flat-{i}",
+            n=int(rng.choice([1, 2, 4])),
+            N=N,
+            cache_bytes=cache_kb * KB,
+            memory_bytes=memory_mb * MB,
+            network=inter,
+        )
+        rack = int(rng.choice([r for r in (2, 4, 8) if N % r == 0 and N // r >= 2]))
+        return deepen_spec(flat, rack, intra_network=intra)
+    return clump_of_smps_spec(
+        name=f"tree-{i}",
+        racks=int(rng.choice([2, 3])),
+        machines_per_rack=int(rng.choice([2, 4])),
+        procs_per_machine=int(rng.choice([1, 2, 4])),
+        cache_bytes=cache_kb * KB,
+        memory_bytes=memory_mb * MB,
+        intra_network=intra,
+        inter_network=inter,
+    )
+
+
+def _folds_with_peer_caches(spec: PlatformSpec) -> bool:
+    """A peer-cache level needs any L2 to exceed the machine's pooled caches."""
+    return spec.l2_bytes is None or spec.n * spec.cache_bytes < spec.l2_bytes
+
+
+def _random_case(rng: np.random.Generator, spec: PlatformSpec) -> BatchCase:
+    return BatchCase(
+        spec,
+        sharing_fraction=float(rng.choice([0.0, 0.1, 0.6])),
+        sharing_fresh_fraction=float(rng.choice([0.0, 0.35, 1.0])),
+        remote_rate_adjustment=float(rng.choice([0.0, 0.124, 0.5])),
+    )
+
+
 def _random_workload(rng: np.random.Generator) -> tuple[StackDistanceModel, float]:
     alpha = float(rng.uniform(1.15, 2.6))
     beta = float(rng.uniform(5.0, 5000.0))
@@ -74,30 +121,88 @@ def _random_kwargs(rng: np.random.Generator) -> dict:
 
 
 def _scalar_reference(specs, locality, gamma, mode, **kwargs):
-    return [
-        evaluate(
-            spec, locality, gamma, mode=mode, on_saturation="inf", **kwargs
-        ).e_instr_seconds
-        for spec in specs
-    ]
+    """Scalar ``evaluate`` per item; a BatchCase brings its own knobs."""
+    out = []
+    for item in specs:
+        knobs = dict(kwargs)
+        if isinstance(item, BatchCase):
+            knobs.update(
+                sharing_fraction=item.sharing_fraction,
+                sharing_fresh_fraction=item.sharing_fresh_fraction,
+                remote_rate_adjustment=item.remote_rate_adjustment,
+            )
+            item = item.spec
+        out.append(
+            evaluate(
+                item, locality, gamma, mode=mode, on_saturation="inf", **knobs
+            ).e_instr_seconds
+        )
+    return out
 
 
 @pytest.mark.parametrize("mode", ["open", "throttled"])
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_matches_scalar_bitwise(mode: str, seed: int) -> None:
+    """Flat and topology-tree platforms; plain specs taking the batch-wide
+    knobs in one batch with BatchCases whose sharing, fresh fraction and
+    remote adjustment vary case by case (what ``calibrate`` sends)."""
     rng = np.random.default_rng(1234 + seed)
     specs = [_random_spec(rng, i) for i in range(12)]
+    specs += [_random_tree_spec(rng, i) for i in range(6)]
     locality, gamma = _random_workload(rng)
     kwargs = _random_kwargs(rng)
-    expected = _scalar_reference(specs, locality, gamma, mode, **kwargs)
+    kwargs["include_peer_cache"] = bool(rng.random() < 0.5)
+    kwargs["remote_cached_fraction"] = float(rng.choice([0.0, 0.3]))
+    if kwargs["include_peer_cache"]:
+        specs = [spec for spec in specs if _folds_with_peer_caches(spec)]
+    items = specs + [_random_case(rng, spec) for spec in specs]
+    expected = _scalar_reference(items, locality, gamma, mode, **kwargs)
     got = e_instr_seconds_batch(
-        specs, locality, gamma, mode=mode, on_saturation="inf", **kwargs
+        items, locality, gamma, mode=mode, on_saturation="inf", **kwargs
     )
     assert got.dtype == np.float64
     for j, (want, have) in enumerate(zip(expected, got)):
         assert want == have, (
-            f"mismatch at candidate {j} ({specs[j].describe()}): "
+            f"mismatch at candidate {j} ({items[j]}): "
             f"scalar={want!r} batch={have!r}"
+        )
+
+
+def test_shared_hierarchy_memo_matches_fresh_calls() -> None:
+    """One memo across calls, cache factors and peer-cache settings
+    answers exactly what memo-less calls answer, and folds each
+    (platform, knobs) key once."""
+    rng = np.random.default_rng(55)
+    specs = [_random_spec(rng, i) for i in range(8)]
+    specs += [_random_tree_spec(rng, i) for i in range(4)]
+    specs = [spec for spec in specs if _folds_with_peer_caches(spec)]
+    cases = [_random_case(rng, spec) for spec in specs + specs[:4]]
+    locality, gamma = _random_workload(rng)
+    memo: dict = {}
+    for _ in range(2):
+        for ccf in (0.5, 1.0):
+            for peer in (False, True):
+                knobs = dict(cache_capacity_factor=ccf, include_peer_cache=peer)
+                for mode in ("open", "throttled"):
+                    fresh = e_instr_seconds_batch(
+                        cases, locality, gamma, mode=mode, on_saturation="inf", **knobs
+                    )
+                    shared = e_instr_seconds_batch(
+                        cases, locality, gamma, mode=mode, on_saturation="inf",
+                        hierarchy_memo=memo, **knobs,
+                    )
+                    assert np.array_equal(fresh, shared)
+                fresh = e_instr_lower_bounds(cases, locality, gamma, **knobs)
+                shared = e_instr_lower_bounds(
+                    cases, locality, gamma, hierarchy_memo=memo, **knobs
+                )
+                assert np.array_equal(fresh, shared)
+    assert len(memo) == len(specs) * 4
+    for (spec, peer, rcf, ccf), hierarchy in memo.items():
+        assert hierarchy == spec.hierarchy(
+            include_peer_cache=peer,
+            remote_cached_fraction=rcf,
+            cache_capacity_factor=ccf,
         )
 
 

@@ -277,6 +277,40 @@ class TestCachesAndMetrics:
         engine.search(PAPER_LU, 12_000.0)  # superset of the same candidates
         assert registry.get("design_memo_hits_total").value > hits_before
 
+    def test_engine_folds_each_platform_once(self, monkeypatch) -> None:
+        """The engine's hierarchy memo: one fold per distinct platform
+        across every query, bound and evaluation, answers unchanged."""
+        from repro.cost.search import _materialize
+
+        queries = [
+            DesignQuery(w, b)
+            for w in (PAPER_LU, PAPER_FFT)
+            for b in (6_000.0, 9_000.0, 12_000.0)
+        ]
+        expected = DesignSearch(
+            space=SMALL_SPACE, method="pareto", metrics=MetricsRegistry()
+        ).run(queries)
+        folds = []
+        real = PlatformSpec.hierarchy
+
+        def counting(spec, *args, **kwargs):
+            folds.append(spec)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(PlatformSpec, "hierarchy", counting)
+        engine = DesignSearch(space=SMALL_SPACE, method="pareto", metrics=MetricsRegistry())
+        got = engine.run(queries)
+        got.append(engine.search(PAPER_EDGE, 9_000.0))
+        distinct = {
+            spec
+            for b in (6_000.0, 9_000.0, 12_000.0)
+            for _, spec, _ in _materialize(b, engine.catalog, SMALL_SPACE)
+        }
+        assert sorted(folds, key=repr) == sorted(distinct, key=repr)
+        for outcome, reference in zip(got, expected):
+            _same_best(outcome, reference)
+            assert outcome.frontier == reference.frontier
+
     def test_memo_never_crosses_workloads(self) -> None:
         """Regression: the evaluation memo must key on the workload's
         locality/gamma, not just the candidate's spec and sharing

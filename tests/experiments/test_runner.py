@@ -1,17 +1,85 @@
 """Tests for the experiment runner: caching, comparison, calibration."""
 
+import itertools
 import math
 
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.core.platform import PlatformSpec
 from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.sim.latencies import NetworkKind
 
 KB = 1024
 
 SPECS = [
     PlatformSpec(name="r-smp", n=2, N=1, cache_bytes=2 * KB, memory_bytes=256 * KB),
 ]
+
+CLUSTER_SPECS = SPECS + [
+    PlatformSpec(
+        name="r-cow", n=1, N=2, cache_bytes=2 * KB, memory_bytes=256 * KB,
+        network=NetworkKind.ETHERNET_10,
+    ),
+    PlatformSpec(
+        name="r-clump", n=2, N=2, cache_bytes=2 * KB, memory_bytes=256 * KB,
+        network=NetworkKind.ATM_155,
+    ),
+]
+
+
+def _scalar_calibrate(
+    runner, apps, specs, cache_factors, boosts, barrier_scales, adjustments,
+    false_sharing_options,
+):
+    """The grid search as one scalar ``runner.model`` call per cell: the
+    reference the batched ``calibrate`` must reproduce exactly."""
+    sims = {
+        (app, spec.name): runner.simulate(app, spec).e_instr_seconds
+        for app in apps
+        for spec in specs
+    }
+    best = None
+    needs_fs = any(spec.N > 1 for spec in specs)
+    fs_options = tuple(false_sharing_options) if needs_fs else (True,)
+    for kappa, boost, bscale, adj, fs in itertools.product(
+        cache_factors, boosts, barrier_scales, adjustments, fs_options
+    ):
+        cal = Calibration(
+            cache_capacity_factor=kappa,
+            contention_boost=boost,
+            barrier_scale=bscale,
+            remote_rate_adjustment=adj,
+            false_sharing=fs,
+        )
+        worst = 0.0
+        for app in apps:
+            for spec in specs:
+                est = runner.model(app, spec, cal).e_instr_seconds
+                sim = sims[(app, spec.name)]
+                if not math.isfinite(est):
+                    worst = math.inf
+                    break
+                worst = max(worst, abs(est - sim) / sim)
+            if worst == math.inf:
+                break
+        if best is None or worst < best[1]:
+            best = (cal, worst)
+    return best
+
+
+@pytest.fixture
+def scalar_evaluate_calls(monkeypatch):
+    """Counts scalar ``evaluate`` calls made through the runner module."""
+    calls = []
+    real = runner_module.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "evaluate", counting)
+    return calls
 
 
 class TestCaching:
@@ -69,6 +137,49 @@ class TestCalibrate:
                     Calibration(cache_capacity_factor=kappa, barrier_scale=b),
                 )
                 assert err <= abs(est.e_instr_seconds - sim) / sim + 1e-12
+
+
+class TestCalibrateMatchesScalarSearch:
+    """``calibrate`` runs on the batch lane; the scalar search is its oracle."""
+
+    def test_cluster_grid_from_generators(self, small_runner, scalar_evaluate_calls):
+        apps = ["EDGE", "FFT"]
+        grid = dict(
+            cache_factors=(1.0, 0.5),
+            boosts=(1.0, 4.0),
+            barrier_scales=(0.0, 1.0),
+            adjustments=(0.0, 0.124, 0.3),
+            false_sharing_options=(True, False),
+        )
+        got = small_runner.calibrate(
+            (app for app in apps),
+            (spec for spec in CLUSTER_SPECS),
+            **{name: (value for value in values) for name, values in grid.items()},
+        )
+        assert scalar_evaluate_calls == []
+        want = _scalar_calibrate(small_runner, apps, CLUSTER_SPECS, **grid)
+        assert got == want
+        # The winner lies past the first option of the innermost axes,
+        # so a search that skipped any (adjustment, false-sharing) case
+        # would miss it.
+        assert (got[0].remote_rate_adjustment, got[0].false_sharing) == (0.3, False)
+
+    def test_exact_ties_keep_the_first_grid_point(
+        self, small_runner, scalar_evaluate_calls
+    ):
+        # model() zeroes the adjustment on a single machine, so 0.3 and
+        # 0.0 tie exactly on an SMP-only grid and 0.3 comes first.
+        grid = dict(
+            cache_factors=(1.0, 0.5),
+            boosts=(1.0, 2.0),
+            barrier_scales=(0.0, 1.0),
+            adjustments=(0.3, 0.0),
+            false_sharing_options=(True, False),
+        )
+        got = small_runner.calibrate(["EDGE", "FFT"], SPECS, **grid)
+        assert scalar_evaluate_calls == []
+        assert got == _scalar_calibrate(small_runner, ["EDGE", "FFT"], SPECS, **grid)
+        assert got[0].remote_rate_adjustment == 0.3
 
 
 class TestValidationFailures:
