@@ -344,14 +344,8 @@ def _add_platform_args(p: argparse.ArgumentParser) -> None:
 def _add_runner_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=_positive_int, default=None,
-        help="simulation worker processes (default: all cores)",
-    )
-    p.add_argument(
-        "--lane", choices=("auto", "tensor", "pool", "serial"), default="auto",
-        help="grid execution lane: 'tensor' stacks compatible cells into one "
-        "batched in-process NumPy pass, 'pool' fans cells out over worker "
-        "processes, 'serial' simulates lazily in-process; 'auto' picks "
-        "tensor for --jobs 1 and pool otherwise (all lanes are bit-identical)",
+        help="simulation worker processes (default: all cores; 1 simulates "
+        "in-process)",
     )
     p.add_argument(
         "--horizon", type=_nonnegative_float, default=200.0,
@@ -409,7 +403,6 @@ def _runner_from(args: argparse.Namespace, **extra):
     return ExperimentRunner(
         horizon=args.horizon,
         jobs=args.jobs,
-        lane=args.lane,
         cache_dir=args.cache_dir or None,
         sample_every=args.sample_every,
         fault_plan=_fault_plan_from(args),
@@ -640,12 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="worker processes for the design search (1 = in-process)",
-    )
-    p.add_argument(
-        "--lane", choices=("auto", "tensor", "pool"), default="auto",
-        help="multi-budget evaluation lane: 'tensor' answers every query in "
-        "one in-process batched pass sharing the evaluation memo, 'pool' "
-        "fans one query per worker; 'auto' picks tensor for --jobs 1",
     )
     p.add_argument(
         "--pareto", action="store_true",
@@ -1186,7 +1173,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 extra_platforms=tuple(args.add_platform),
             )
         engine = DesignSearch(
-            space=space, method=method, jobs=args.jobs, lane=args.lane,
+            space=space, method=method, jobs=args.jobs,
             cache_dir=args.cache_dir or None,
         )
         queries = [DesignQuery(workload, budget) for budget in args.budget]
@@ -1523,7 +1510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 applicable.pop("coalesce_window", None)  # never coalesced
             if applicable:
                 config = config.with_policy(endpoint, **applicable)
-        api = QueryAPI(cache_dir=args.cache_dir or None, jobs=1)
+        api = QueryAPI(cache_dir=args.cache_dir or None)
         if chaos:
             print(chaos.describe(), file=sys.stderr)
         try:

@@ -4,7 +4,7 @@ The paper solves  minimize E(Instr) s.t. C_cluster <= B  by enumerating
 every candidate and evaluating the analytical model on each.  That is
 exact but wasteful: most candidates are provably worse than the best one
 found early.  This module keeps the *answers* bit-for-bit identical to
-exhaustive enumeration while doing far less work, with three stacked
+exhaustive enumeration while doing far less work, with three layered
 mechanisms:
 
 1. **Batched evaluation** — candidates are evaluated through
@@ -102,11 +102,6 @@ _FIRST_CHUNK = 8
 _MIN_SHARD_WORK = 128
 
 _METHODS = ("pruned", "pareto", "exhaustive")
-#: How :meth:`DesignSearch.run` executes an evaluation wave: ``tensor``
-#: answers every query in-process through one shared-memo batched
-#: evaluation pass; ``pool`` fans one query per worker; ``auto`` picks
-#: ``tensor`` for ``jobs <= 1`` and ``pool`` otherwise.
-_LANES = ("auto", "tensor", "pool")
 
 
 # ----------------------------------------------------------------------
@@ -470,15 +465,8 @@ class DesignSearch:
         Worker processes.  ``1`` (default) stays in-process; more shards
         single queries and fans out batch queries via
         :class:`repro.pool.FaultTolerantPool` (retry / degrade-to-serial
-        semantics included).
-    ``lane``
-        How :meth:`run` executes an evaluation wave: ``"tensor"``
-        answers every query in one in-process batched pass sharing the
-        evaluation memo and per-budget enumeration across queries,
-        ``"pool"`` fans one query per worker, and ``"auto"`` (default)
-        picks ``tensor`` when ``jobs <= 1`` and ``pool`` otherwise.
-        Answers are identical across lanes; the choice is counted in
-        ``design_wave_lane_total{lane}``.
+        semantics included).  Each :meth:`run` wave is counted in
+        ``design_wave_lane_total{lane}`` as ``serial`` or ``pool``.
     ``cache_dir``
         Optional ``.repro_cache`` root; answers are pickled under
         ``design/<sha256>.pkl`` keyed on everything that determines them.
@@ -492,7 +480,6 @@ class DesignSearch:
         *,
         method: str = "pruned",
         jobs: int = 1,
-        lane: str = "auto",
         cache_dir: str | os.PathLike | None = None,
         chunk: int = _CHUNK,
         metrics: obs_metrics.MetricsRegistry | None = None,
@@ -502,11 +489,8 @@ class DesignSearch:
     ) -> None:
         if method not in _METHODS:
             raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
-        if lane not in _LANES:
-            raise ValueError(f"unknown lane {lane!r}; use one of {_LANES}")
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        self.lane = lane
         self.catalog = catalog or DEFAULT_CATALOG
         self.space = space
         self.options = options or ModelOptions()
@@ -702,19 +686,18 @@ class DesignSearch:
         )
 
     def run(self, queries: Sequence[DesignQuery]) -> list[SearchOutcome]:
-        """Answer a batch of queries through the configured lane.
+        """Answer a batch of queries, in-process or on the pool.
 
-        The tensor lane solves every uncached query in-process as one
-        batched evaluation wave: the candidate enumeration is shared
-        per budget and the evaluation memo is shared across queries
-        (same-workload queries at different budgets overlap almost
-        completely), so a wave costs roughly one query's evaluations
-        instead of Q.  The pool lane fans one query per worker --
-        workers solve serially (sharding and fan-out don't compose)
-        and cannot share the memo across processes.  Answers are
-        identical either way (the memo only replays exact floats);
-        cached answers never hit either lane.  Results align with
-        ``queries`` by position.
+        At ``jobs <= 1`` every uncached query is solved in-process: the
+        candidate enumeration is shared per budget and the evaluation
+        memo is shared across queries (same-workload queries at
+        different budgets overlap almost completely), so a wave costs
+        roughly one query's evaluations instead of Q.  Otherwise the
+        pool fans one query per worker -- workers solve serially
+        (sharding and fan-out don't compose) and cannot share the memo
+        across processes.  Answers are identical either way (the memo
+        only replays exact floats); cached answers never reach either
+        path.  Results align with ``queries`` by position.
         """
         results: dict[int, SearchOutcome] = {}
         tasks: list[tuple[str, object]] = []
@@ -736,14 +719,9 @@ class DesignSearch:
             task_meta.append((i, q, path))
 
         if tasks:
-            lane = (
-                "tensor"
-                if self.lane == "tensor"
-                or (self.lane == "auto" and self._pool.jobs <= 1)
-                else "pool"
-            )
+            lane = "serial" if self._pool.jobs <= 1 else "pool"
             self._wave_lane_total.labels(lane=lane).inc()
-            if lane == "tensor":
+            if lane == "serial":
                 enum_memo: dict[float, list] = {}
                 for (_desc, args), (i, q, path) in zip(tasks, task_meta):
                     workload, budget, _catalog, _space, options, method, chunk = args

@@ -146,12 +146,12 @@ def _profile_section(runner) -> str:
 def _lane_summary(runner) -> str:
     """One header line recording which execution lanes the grids used.
 
-    Degrades to nothing for runner doubles that don't expose lanes, so
-    report assembly stays testable with stubs.
+    Degrades to nothing for runner doubles without ``jobs`` or
+    ``metrics``, so report assembly stays testable with stubs.
     """
-    lane = getattr(runner, "lane", None)
+    jobs = getattr(runner, "jobs", None)
     metrics = getattr(runner, "metrics", None)
-    if lane is None or metrics is None:
+    if jobs is None or metrics is None:
         return ""
     counter = metrics.get("repro_grid_lane_total")
     counts = (
@@ -163,7 +163,7 @@ def _lane_summary(runner) -> str:
         else ""
     )
     return (
-        f"\nGrid execution lane: configured `{lane}`"
+        f"\nGrid execution lane: `jobs={jobs}`"
         + (f"; grids ran ({counts})" if counts else "; no grid ran")
         + ".\n"
     )

@@ -61,11 +61,10 @@ __all__ = ["Calibration", "ExperimentRunner", "DEFAULT_CALIBRATION"]
 #: 3: SimulationResult grew fault fields; the key covers the fault plan.
 #: 4: platforms may carry a declarative topology tree; the spec enters
 #:    the key as canonical ``to_dict`` JSON instead of dataclass repr.
-#: 5: the stacked tensor lane lands (PR 6).  Results are lane-invariant
-#:    (the three-lane bit-identity property), but the bump cleanly
-#:    separates entries written by pre-lane builds; per-cell keys are
-#:    otherwise unchanged, so cache hits still work cell-wise whichever
-#:    lane computed them.
+#: 5: grid execution lanes land (PR 6).  Results never depend on the
+#:    lane, but the bump cleanly separates entries written by pre-lane
+#:    builds; per-cell keys are otherwise unchanged, so cache hits
+#:    still work cell-wise whichever lane computed them.
 #: 6: SimulationResult grew a ``profile`` field (PR 7); the key covers
 #:    the profile flag so profiled and unprofiled cells never shadow
 #:    each other.
@@ -74,9 +73,6 @@ __all__ = ["Calibration", "ExperimentRunner", "DEFAULT_CALIBRATION"]
 #:    bit-identical to version 6, but the bump cleanly separates
 #:    entries written by pre-scales builds.
 SIM_CACHE_VERSION = 7
-
-#: Grid execution lanes the runner can route uncached cells through.
-LANES = ("auto", "tensor", "pool", "serial")
 
 _log = get_logger("repro.experiments.runner")
 
@@ -190,7 +186,6 @@ class ExperimentRunner:
         cell_timeout: float | None = None,
         max_retries: int = 2,
         retry_backoff: float = 0.25,
-        lane: str = "auto",
         profile: bool = False,
     ) -> None:
         """``app_kwargs`` overrides application constructor arguments per
@@ -198,9 +193,10 @@ class ExperimentRunner:
 
         ``jobs`` bounds the process pool used to simulate independent
         (app, config) cells; ``None`` means ``os.cpu_count()`` and ``1``
-        disables the pool.  ``cache_dir`` is where simulation results
-        persist across processes and runs; ``None`` disables the disk
-        cache.
+        disables the pool (:meth:`prefetch_simulations` says how a grid
+        picks in-process or pool).  ``cache_dir`` is where simulation
+        results persist across processes and runs; ``None`` disables
+        the disk cache.
 
         ``sample_every`` (simulated cycles) makes every simulation carry
         a per-window :class:`~repro.obs.timeline.Timeline`; it is part
@@ -217,25 +213,10 @@ class ExperimentRunner:
         ``max_retries`` times with exponential backoff starting at
         ``retry_backoff`` seconds before the failure becomes an error.
 
-        ``lane`` picks how a grid's uncached cells execute (see
-        ``docs/SIMULATOR.md``, "Execution lanes"): ``"tensor"`` stacks
-        shape-compatible cells into one batched in-process NumPy pass
-        (:func:`repro.sim.stacked.simulate_grid` -- application runs
-        and clock schedules shared across cells, no pool spawn, no
-        IPC), ``"pool"`` fans cells out over the process pool,
-        ``"serial"`` leaves them to lazy in-process :meth:`simulate`
-        calls, and ``"auto"`` (default) picks ``tensor`` when
-        ``jobs <= 1``, ``pool`` when ``jobs > 1`` and more than one
-        cell needs simulating, ``serial`` otherwise.  All lanes return
-        bit-identical results; the choice per grid is recorded in
-        ``repro_grid_lane_total{lane}`` and :attr:`last_grid_lane`.
-
         ``profile=True`` makes every simulation carry an exact
         :class:`~repro.obs.profile.CycleProfile` (see
         :meth:`profiles`); it is part of the disk-cache key.
         """
-        if lane not in LANES:
-            raise ValueError(f"unknown lane {lane!r}; use one of {LANES}")
         self.seed = seed
         self.horizon = horizon
         self.app_kwargs = app_kwargs or {}
@@ -270,10 +251,10 @@ class ExperimentRunner:
             "repro_pool_degradations_total",
             "Times a broken or timed-out process pool fell back to serial",
         )
-        self.lane = lane
-        #: Lane the most recent :meth:`prefetch_simulations` grid used
-        #: (``None`` until a grid ran); also recorded per grid in the
-        #: ``repro_grid_lane_total{lane}`` counter.
+        #: Lane the most recent :meth:`prefetch_simulations` grid used,
+        #: ``"serial"`` or ``"pool"`` (``None`` until a grid ran); also
+        #: recorded per grid in the ``repro_grid_lane_total{lane}``
+        #: counter.
         self.last_grid_lane: str | None = None
         self._grid_lane_total = self.metrics.counter(
             "repro_grid_lane_total",
@@ -448,26 +429,30 @@ class ExperimentRunner:
             if path is not None:
                 self._count_lookup("sim", result is not None)
             if result is None:
-                run = self.application_run(name, spec.total_processors)
-                with get_tracer().span(
-                    f"simulate:{name}@{spec.name}", procs=spec.total_processors
-                ):
-                    engine = SimulationEngine(
-                        spec,
-                        run,
-                        horizon=self.horizon,
-                        sample_every=self.sample_every,
-                        fault_plan=self.fault_plan,
-                        profile=self.profile,
-                    )
-                    result = engine.execute()
-                _log.debug(
-                    "simulated cell", app=name, spec=spec.name,
-                    cycles=f"{result.total_cycles:.0f}",
-                )
+                result = self._run_cell(name, spec)
                 self._store_pickle(path, result)
             self._sims[key] = result
         return self._sims[key]
+
+    def _run_cell(self, name: str, spec: PlatformSpec) -> SimulationResult:
+        """Simulate one cell in-process, reusing the run memo."""
+        run = self.application_run(name, spec.total_processors)
+        with get_tracer().span(
+            f"simulate:{name}@{spec.name}", procs=spec.total_processors
+        ):
+            result = SimulationEngine(
+                spec,
+                run,
+                horizon=self.horizon,
+                sample_every=self.sample_every,
+                fault_plan=self.fault_plan,
+                profile=self.profile,
+            ).execute()
+        _log.debug(
+            "simulated cell", app=name, spec=spec.name,
+            cycles=f"{result.total_cycles:.0f}",
+        )
+        return result
 
     def timelines(self) -> dict[str, "object"]:
         """``app@platform -> Timeline`` for every sampled cell so far."""
@@ -502,23 +487,22 @@ class ExperimentRunner:
         self, cells: Sequence[tuple[str, PlatformSpec]]
     ) -> None:
         """Fill the simulation memo for every (app, spec) cell, using the
-        disk cache first and a process pool for whatever remains.
+        disk cache first and simulating whatever remains.
 
-        Cells are independent simulations, so every lane returns
-        results bit-identical to serial ``simulate`` calls.  Uncached
-        cells route through the lane chosen at construction (see the
-        ``lane`` parameter): the stacked tensor lane runs the whole
-        grid as one in-process batched pass, the pool lane fans cells
-        out over worker processes, and the serial lane leaves them to
-        lazy ``simulate`` calls.  ``jobs=1`` grids never spawn a pool.
+        Uncached cells go to the process pool when ``jobs > 1`` and more
+        than one cell needs work; otherwise they are simulated eagerly
+        in-process, sharing the ``(name, procs)`` application-run memo.
+        The chosen lane (``"pool"`` or ``"serial"``) is recorded in
+        ``repro_grid_lane_total{lane}`` and :attr:`last_grid_lane`.
+        Cells are independent simulations, so both lanes return results
+        bit-identical to ``simulate`` calls.
 
-        The pool path is fault tolerant: every finished cell is
-        checkpointed to the disk cache *immediately* (an interrupted
-        grid resumes from exactly the cells it completed), failed cell
-        attempts are retried with exponential backoff, and a broken or
+        Either way every finished cell is checkpointed to the disk
+        cache *immediately*, so an interrupted grid resumes from exactly
+        the cells it completed.  The pool additionally retries failed
+        cell attempts with exponential backoff, and a broken or
         deadline-blown pool degrades to serial execution of the
-        remaining cells instead of failing the grid.  The tensor lane
-        checkpoints cells the same way, as each group completes.
+        remaining cells instead of failing the grid.
         """
         todo: list[tuple[str, PlatformSpec]] = []
         seen: set[tuple[str, str]] = set()
@@ -535,16 +519,17 @@ class ExperimentRunner:
             else:
                 seen.add(key)
                 todo.append((name, spec))
-        lane = self._choose_lane(len(todo))
+        lane = "pool" if self.jobs > 1 and len(todo) > 1 else "serial"
         self.last_grid_lane = lane
         self._grid_lane_total.labels(lane=lane).inc()
-        if lane == "serial":
-            return  # lazy simulate() handles the rest
+        if not todo:
+            return
         tracer = get_tracer()
         _log.debug("prefetching cells", todo=len(todo), jobs=self.jobs, lane=lane)
         with tracer.span(f"prefetch:{len(todo)}cells", jobs=self.jobs, lane=lane):
-            if lane == "tensor":
-                self._prefetch_stacked(todo, tracer)
+            if lane == "serial":
+                for name, spec in todo:
+                    self._finish_cell(name, spec, self._run_cell(name, spec))
                 return
             tasks = [
                 (f"{name}@{spec.name}", self._cell_args(name, spec))
@@ -555,53 +540,6 @@ class ExperimentRunner:
                 tasks,
                 lambda i, value: self._finish_cell(*todo[i], *value, tracer),
             )
-
-    def _choose_lane(self, n_todo: int) -> str:
-        """Resolve the configured lane for a grid of ``n_todo`` uncached
-        cells.  ``auto`` keeps the historical multi-core behavior (pool
-        when ``jobs > 1`` and more than one cell needs work) and routes
-        single-worker grids through the stacked tensor lane -- which,
-        being in-process, also guarantees ``jobs=1`` never spawns a
-        pool.  An explicitly requested pool degrades to serial when it
-        could not actually parallelize anything."""
-        if n_todo == 0:
-            return "serial"
-        if self.lane == "auto":
-            if n_todo <= 1:
-                return "serial"
-            return "tensor" if self.jobs <= 1 else "pool"
-        if self.lane == "pool" and (self.jobs <= 1 or n_todo <= 1):
-            return "serial"
-        return self.lane
-
-    def _prefetch_stacked(self, todo, tracer) -> None:
-        """Run a grid's uncached cells through the stacked tensor lane
-        (one batched in-process pass; see :mod:`repro.sim.stacked`),
-        checkpointing each cell into the memo and disk cache."""
-        from repro.sim.stacked import StackedCell, simulate_grid
-
-        cells = [
-            StackedCell.make(
-                name,
-                spec,
-                seed=self.seed,
-                app_kwargs=self.app_kwargs.get(name, {}),
-                fault_plan=self.fault_plan,
-            )
-            for name, spec in todo
-        ]
-        results = simulate_grid(
-            cells,
-            horizon=self.horizon,
-            sample_every=self.sample_every,
-            run_provider=lambda name, procs, _seed, _kw: self.application_run(
-                name, procs
-            ),
-            metrics=self.metrics,
-            profile=self.profile,
-        )
-        for (name, spec), result in zip(todo, results):
-            self._finish_cell(name, spec, result, None, tracer)
 
     # -- pool plumbing (retry/degrade/kill live in repro.pool) -----------
     def _cell_args(self, name: str, spec: PlatformSpec) -> tuple:
@@ -616,7 +554,7 @@ class ExperimentRunner:
             self.profile,
         )
 
-    def _finish_cell(self, name, spec, result, span_obj, tracer) -> None:
+    def _finish_cell(self, name, spec, result, span_obj=None, tracer=None) -> None:
         """Memoize and checkpoint one completed cell."""
         self._sims[(name, spec.name)] = result
         self._store_pickle(self._sim_cache_path(name, spec), result)

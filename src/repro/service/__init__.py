@@ -3,10 +3,11 @@
 A pure, CLI-independent query API (:mod:`repro.service.api`) fronted by
 an asyncio JSON-over-HTTP server (:mod:`repro.service.server`) built for
 robustness under stress rather than raw speed: bounded admission with
-explicit shedding, request coalescing onto the tensor evaluation lanes,
-a circuit breaker around the simulation worker pool with degraded-mode
-predict answers from the zero-contention lower bound, seeded retry
-budgets, and first-class observability.  See ``docs/SERVICE.md``.
+explicit shedding, request coalescing onto batched model evaluation
+waves, a circuit breaker around the simulation worker pool with
+degraded-mode predict answers from the zero-contention lower bound,
+seeded retry budgets, and first-class observability.  See
+``docs/SERVICE.md``.
 """
 
 from repro.service.api import (

@@ -253,7 +253,6 @@ class QueryAPI:
         *,
         cache_dir: str | None = None,
         horizon: float = 200.0,
-        jobs: int = 1,
         metrics=None,
     ) -> None:
         from repro.cost.search import DesignSearch
@@ -261,9 +260,7 @@ class QueryAPI:
         self.cache_dir = cache_dir
         self.horizon = horizon
         kwargs = {"metrics": metrics} if metrics is not None else {}
-        self._search = DesignSearch(
-            jobs=jobs, lane="tensor", cache_dir=cache_dir, **kwargs
-        )
+        self._search = DesignSearch(cache_dir=cache_dir, **kwargs)
         self._metrics = metrics
         self._runners: dict[tuple, object] = {}
 
@@ -279,7 +276,7 @@ class QueryAPI:
         return self.predict_batch([PredictRequest(workload, spec, mode)])[0]
 
     def predict_batch(self, requests: Sequence[PredictRequest]) -> list[PredictAnswer]:
-        """Answer many predict requests in one tensor evaluation wave.
+        """Answer many predict requests in one batched evaluation wave.
 
         Requests sharing a (workload, mode) evaluate as a single
         :func:`e_instr_seconds_batch` call; per-case independence makes
@@ -359,7 +356,7 @@ class QueryAPI:
     def design_batch(
         self, queries: Sequence[tuple[WorkloadParams, float, str | None]]
     ) -> list[DesignAnswer]:
-        """Answer design queries through one shared tensor-lane engine.
+        """Answer design queries through one shared in-process engine.
 
         The engine's evaluation memo is shared across the batch (and
         across batches), and memo hits replay exact floats, so batching
@@ -420,7 +417,6 @@ class QueryAPI:
                 seed=seed,
                 horizon=self.horizon,
                 jobs=1,
-                lane="serial",
                 cache_dir=self.cache_dir,
                 app_kwargs=app_kwargs,
                 **kwargs,

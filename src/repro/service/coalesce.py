@@ -1,7 +1,7 @@
 """Request coalescing with deadline propagation — the pure planning half.
 
 Concurrent predict (or design) queries landing within a coalescing
-window are funneled into **one** tensor evaluation wave through
+window are funneled into **one** batched evaluation wave through
 :meth:`repro.service.api.QueryAPI.predict_batch` /
 :meth:`~repro.service.api.QueryAPI.design_batch`; per-case independence
 of the batched evaluators makes the funneling invisible in the answers

@@ -11,8 +11,8 @@ Two classes, split along the testability boundary:
 
 * :class:`QueryService` — the asyncio shell: a hand-rolled HTTP/1.1
   JSON server on :func:`asyncio.start_server` (stdlib only, no
-  ``http.server``), per-endpoint coalescing loops feeding the tensor
-  evaluation lanes, a :class:`~concurrent.futures.ProcessPoolExecutor`
+  ``http.server``), per-endpoint coalescing loops feeding batched
+  evaluation waves, a :class:`~concurrent.futures.ProcessPoolExecutor`
   for simulate work with the circuit breaker wrapped around it, and
   chaos hooks that really do kill workers.
 
@@ -188,7 +188,7 @@ class ServiceCore:
     def predict_wave(self, riders: list[PendingRequest], now: float) -> str:
         """Answer a coalesced predict wave in place; returns the outcome.
 
-        With the breaker closed the wave is one tensor-lane batch
+        With the breaker closed the wave is one batched model
         evaluation (bit-identical to per-request calls); otherwise every
         rider gets the zero-contention degraded answer.
         """
@@ -206,7 +206,7 @@ class ServiceCore:
 
     def design_wave(self, riders: list[PendingRequest]) -> str:
         """Answer a coalesced design wave in place (always full-fidelity:
-        design search is in-process tensor work, not pool work)."""
+        design search is in-process model work, not pool work)."""
         self.batch_size.labels(endpoint="design").observe(len(riders))
         answers = self.api.design_batch([r.payload for r in riders])
         for r, a in zip(riders, answers):
@@ -491,7 +491,7 @@ class QueryService:
         return 400, {"error": str(pending.answer)}
 
     async def _wave_loop(self, endpoint: str) -> None:
-        """Coalesce queued requests into tensor evaluation waves."""
+        """Coalesce queued requests into batched evaluation waves."""
         loop = asyncio.get_running_loop()
         policy = self.core.config.policy(endpoint)
         while True:

@@ -33,17 +33,6 @@ def __getattr__(name):
         from repro.sim import engine
 
         return getattr(engine, name)
-    if name in (
-        "StackedCell",
-        "StackedGroup",
-        "derive_cell_seed",
-        "group_cells",
-        "simulate_grid",
-        "stacked_schedules",
-    ):
-        from repro.sim import stacked
-
-        return getattr(stacked, name)
     if name in ("BackendStats", "MemoryBackend", "make_backend", "SmpBackend", "CowBackend", "ClumpBackend", "ComposedBackend", "Fabric"):
         from repro.sim import backends
 
@@ -69,11 +58,5 @@ __all__ = [
     "SetAssociativeCache",
     "SimulationEngine",
     "SimulationResult",
-    "StackedCell",
-    "StackedGroup",
-    "derive_cell_seed",
-    "group_cells",
     "make_backend",
-    "simulate_grid",
-    "stacked_schedules",
 ]

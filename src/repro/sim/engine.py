@@ -141,7 +141,6 @@ class SimulationEngine:
         fastpath: bool = True,
         sample_every: float | None = None,
         fault_plan: FaultPlan | None = None,
-        scheds: "Sequence[np.ndarray] | None" = None,
         profile: bool = False,
         compute_scales: "Sequence[float] | None" = None,
     ) -> None:
@@ -158,18 +157,10 @@ class SimulationEngine:
         bit-identical under any plan.  The default ``None`` adds no
         per-step cost.
 
-        ``scheds`` optionally supplies the per-trace all-hit clock
-        schedules -- each must equal ``(trace.work + 1.0 +
-        backend.t_hit).cumsum()`` exactly.  The stacked tensor lane
-        (:mod:`repro.sim.stacked`) computes them for a whole grid in
-        one batched prefix-sum pass and hands each cell views, so the
-        engine skips the per-cell cumsum; results are bit-identical
-        because the arrays are.  Ignored when the fast path is off.
-
         ``profile=True`` turns on exact cycle attribution: the result
         carries a :class:`~repro.obs.profile.CycleProfile` whose
         per-(topology node, cause) buckets sum bit-exactly to
-        ``P * total_cycles`` in every lane (see docs/OBSERVABILITY.md).
+        ``P * total_cycles`` in both lanes (see docs/OBSERVABILITY.md).
         The default ``False`` records nothing and adds no per-miss cost.
 
         ``compute_scales`` gives each process a relative CPU speed (the
@@ -178,13 +169,10 @@ class SimulationEngine:
         by ``compute_scales[p]``, while memory latencies, already
         stated in machine cycles, are untouched.  ``None`` (or all
         ``1.0``) keeps the exact legacy arithmetic, so homogeneous runs
-        stay bit-identical across all three lanes.  Scaled steps are
-        quantized to the 2^-6-cycle grid (``np.round(((work + 1.0) /
-        scale) * 64) / 64``) so float sums stay exact and the scalar
-        and vectorized lanes agree bitwise even at speeds like 2.5.
-        When ``scheds`` is also supplied, each schedule must be
-        ``(quantized_step + t_hit).cumsum()`` over exactly those values
-        (:func:`repro.sim.stacked.stacked_schedules` with ``scales``).
+        stay bit-identical in both lanes.  Scaled steps are quantized
+        to the 2^-6-cycle grid (``np.round(((work + 1.0) / scale) * 64)
+        / 64``) so float sums stay exact and the scalar and vectorized
+        lanes agree bitwise even at speeds like 2.5.
         """
         if run.num_procs != spec.total_processors:
             raise ValueError(
@@ -271,14 +259,7 @@ class SimulationEngine:
             and hasattr(self.backend, "t_hit")
         )
         if self._batch_ready:
-            if scheds is not None:
-                if len(scheds) != run.num_procs:
-                    raise ValueError(
-                        f"scheds must carry one array per process: "
-                        f"{len(scheds)} != {run.num_procs}"
-                    )
-                self._scheds = list(scheds)
-            elif self._speeds is None:
+            if self._speeds is None:
                 step = 1.0 + float(self.backend.t_hit)
                 self._scheds = [(t.work + step).cumsum() for t in run.traces]
             else:

@@ -13,6 +13,7 @@ each scenario fires deterministically once per test.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import pickle
 import time
@@ -154,6 +155,40 @@ class TestPoolFailures:
 
         resumed = _runner(small_app_kwargs, jobs=2, cache_dir=cache)
         assert resumed.compare(APPS, SPECS, CAL) == expected_rows
+
+
+def test_single_job_grid_checkpoints_each_cell(
+    small_app_kwargs, tmp_path, monkeypatch
+):
+    """An in-process grid writes each cell to disk as it finishes: when
+    the third of four cells fails, a fresh runner on the same cache
+    directory serves the first two without simulating."""
+    from repro.sim.engine import SimulationEngine
+
+    execute = SimulationEngine.execute
+    calls = itertools.count(1)
+
+    def third_call_fails(engine):
+        if next(calls) == 3:
+            raise RuntimeError("injected failure on the third cell")
+        return execute(engine)
+
+    monkeypatch.setattr(SimulationEngine, "execute", third_call_fails)
+    cells = [(app, spec) for app in APPS for spec in SPECS]
+    failing = _runner(small_app_kwargs, jobs=1, cache_dir=tmp_path)
+    with pytest.raises(RuntimeError, match="third cell"):
+        failing.prefetch_simulations(cells)
+
+    resumed = _runner(small_app_kwargs, jobs=1, cache_dir=tmp_path)
+
+    def _boom(*a, **kw):  # pragma: no cover - must never run
+        raise AssertionError("a checkpointed cell was simulated again")
+
+    resumed.application_run = _boom
+    for name, spec in cells[:2]:
+        resumed.simulate(name, spec)
+    lookups = resumed.metrics.get("repro_cache_lookups_total")
+    assert lookups.labels(kind="sim", outcome="hit").value == 2
 
 
 class TestKnobValidation:

@@ -5,8 +5,8 @@ testable: every simulated cycle lands in exactly one (topology node,
 cause) bucket, and the buckets sum *bit-exactly* (float ``==``, no
 tolerance) to ``P * total_cycles``.  The property tests here drive the
 same random traces, platform specs, and fault plans as the fast-path
-equivalence suite through all three execution lanes and assert both
-the sum invariant and that lane choice never changes any bucket.
+equivalence suite through both engine lanes and assert both the sum
+invariant and that lane choice never changes any bucket.
 
 Unit tests cover the :class:`~repro.obs.profile.CycleProfile` value
 type (merge, diff, round-trip, exports) and the run ledger.
@@ -295,30 +295,17 @@ class TestLedger:
 # The hard invariant, property-tested across lanes
 
 
-def _stacked_profiled(spec, seed):
-    from repro.sim.stacked import StackedCell, simulate_grid
-
-    (res,) = simulate_grid(
-        [StackedCell.make("random", spec, seed=seed)],
-        run_provider=lambda name, procs, s, kw: _random_run(procs, s),
-        profile=True,
-    )
-    return res
-
-
 @pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_attribution_exact_and_lane_invariant(spec, seed):
-    """Every cycle attributed, bit-exactly, in all three lanes -- and
-    the per-(node, cause) buckets are identical across lanes."""
+    """Every cycle attributed, bit-exactly, in both lanes -- and the
+    per-(node, cause) buckets are identical across lanes."""
     run = _random_run(spec.total_processors, seed)
     scalar = SimulationEngine(spec, run, fastpath=False, profile=True).execute()
     batched = SimulationEngine(spec, run, fastpath=True, profile=True).execute()
-    stacked = _stacked_profiled(spec, seed)
 
     _assert_identical(scalar, batched)
-    _assert_identical(scalar, stacked)
-    for res in (scalar, batched, stacked):
+    for res in (scalar, batched):
         prof = res.profile
         assert prof is not None
         assert prof.check_exact()
@@ -326,7 +313,6 @@ def test_attribution_exact_and_lane_invariant(spec, seed):
         assert prof.proc_cycles == spec.total_processors * res.total_cycles
         assert all(cause in CAUSES for _, cause in prof.cycles)
     assert batched.profile.cycles == scalar.profile.cycles
-    assert stacked.profile.cycles == scalar.profile.cycles
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
@@ -393,7 +379,7 @@ def test_profiler_detaches_after_run():
 # Runner plumbing: merge, process pool, disk cache
 
 
-def _runner(tmp_path, lane, **kwargs):
+def _runner(tmp_path, **kwargs):
     from repro.experiments.runner import ExperimentRunner
     from repro.obs.metrics import MetricsRegistry
 
@@ -401,7 +387,6 @@ def _runner(tmp_path, lane, **kwargs):
         app_kwargs={"FFT": {"points": 256}},
         cache_dir=tmp_path / "cache",
         metrics=MetricsRegistry(),
-        lane=lane,
         profile=True,
         **kwargs,
     )
@@ -409,7 +394,7 @@ def _runner(tmp_path, lane, **kwargs):
 
 def test_runner_carries_and_merges_profiles(tmp_path):
     spec = SPECS[0]
-    runner = _runner(tmp_path, "serial")
+    runner = _runner(tmp_path)
     res = runner.simulate("FFT", spec)
     assert res.profile is not None and res.profile.check_exact()
     profs = runner.profiles()
@@ -420,8 +405,8 @@ def test_runner_carries_and_merges_profiles(tmp_path):
 
 def test_runner_profile_survives_disk_cache(tmp_path):
     spec = SPECS[0]
-    first = _runner(tmp_path, "serial").simulate("FFT", spec)
-    cached = _runner(tmp_path, "serial").simulate("FFT", spec)
+    first = _runner(tmp_path).simulate("FFT", spec)
+    cached = _runner(tmp_path).simulate("FFT", spec)
     assert cached.profile is not None
     assert cached.profile.cycles == first.profile.cycles
     assert cached.profile.proc_cycles == first.profile.proc_cycles
@@ -432,21 +417,10 @@ def test_runner_cache_separates_profiled_and_unprofiled(tmp_path):
     from repro.obs.metrics import MetricsRegistry
 
     spec = SPECS[0]
-    _runner(tmp_path, "serial").simulate("FFT", spec)
+    _runner(tmp_path).simulate("FFT", spec)
     plain = ExperimentRunner(
         app_kwargs={"FFT": {"points": 256}},
         cache_dir=tmp_path / "cache",
         metrics=MetricsRegistry(),
-        lane="serial",
     ).simulate("FFT", spec)
     assert plain.profile is None
-
-
-def test_runner_tensor_lane_profiles(tmp_path):
-    spec = SPECS[0]
-    runner = _runner(tmp_path, "tensor")
-    runner.prefetch_simulations([("FFT", spec)])
-    res = runner.simulate("FFT", spec)
-    assert res.profile is not None and res.profile.check_exact()
-    serial = _runner(tmp_path / "b", "serial").simulate("FFT", spec)
-    assert res.profile.cycles == serial.profile.cycles

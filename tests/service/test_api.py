@@ -154,7 +154,7 @@ class TestDesign:
 
         workload = WORKLOADS["FFT"]
         answer = api.design(workload, 100_000.0)
-        (outcome,) = DesignSearch(jobs=1, lane="tensor").run(
+        (outcome,) = DesignSearch(jobs=1).run(
             [DesignQuery(workload, 100_000.0)]
         )
         assert answer.best == QueryAPI.config_payload(outcome.result.best)
@@ -184,7 +184,7 @@ class TestSimulate:
             "FFT", spec, seed=3, app_args={"points": 256}
         )
         runner = ExperimentRunner(
-            seed=3, jobs=1, lane="serial", app_kwargs={"FFT": {"points": 256}}
+            seed=3, jobs=1, app_kwargs={"FFT": {"points": 256}}
         )
         expected = runner.simulate("FFT", spec)
         assert answer.total_cycles == float(expected.total_cycles)

@@ -1,15 +1,13 @@
 """Per-process compute scales: the simulator's half of heterogeneity.
 
-Three contracts:
+Two contracts:
 
 * all-unity scales collapse to the legacy expressions, bit-identically
   -- a build with the feature and a build without it must be
   indistinguishable on homogeneous inputs;
 * with real scales the scalar and vectorized lanes still agree bitwise
   (the 2^-6-grid quantization gives both lanes literally the same
-  per-reference steps);
-* the stacked tensor lane's scaled schedules match what the engine
-  builds for itself.
+  per-reference steps).
 """
 
 import math
@@ -20,7 +18,6 @@ import pytest
 from repro.apps.base import AddressSpace, ApplicationRun
 from repro.core.platform import PlatformSpec
 from repro.sim.engine import SimulationEngine
-from repro.sim.stacked import stacked_schedules
 from repro.trace.events import Trace
 
 KB = 1024
@@ -107,27 +104,3 @@ class TestValidation:
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(ValueError):
             SimulationEngine(_smp(), _run(), compute_scales=(1.0, 1.0, 1.0, bad))
-
-
-class TestStackedSchedules:
-    def test_scaled_schedules_match_engine(self):
-        run = _run()
-        scales = (2.5, 2.5, 1.0, 1.0)
-        engine = SimulationEngine(_smp(), run, compute_scales=scales)
-        works = np.stack([t.work for t in run.traces])[None, :, :].astype(np.float64)
-        hits = np.asarray([engine.backend.t_hit], dtype=np.float64)
-        scheds = stacked_schedules(
-            works, None,
-            scales=np.asarray([scales], dtype=np.float64), hits=hits,
-        )
-        for p in range(4):
-            assert np.array_equal(scheds[0, p], engine._scheds[p])
-
-    def test_unscaled_schedules_unchanged(self):
-        run = _run()
-        engine = SimulationEngine(_smp(), run)
-        works = np.stack([t.work for t in run.traces])[None, :, :].astype(np.float64)
-        steps = np.asarray([1.0 + engine.backend.t_hit], dtype=np.float64)
-        legacy = stacked_schedules(works, steps)
-        for p in range(4):
-            assert np.array_equal(legacy[0, p], engine._scheds[p])

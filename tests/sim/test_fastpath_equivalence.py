@@ -19,6 +19,7 @@ from repro.core.platform import PlatformSpec
 from repro.sim.backends import ClumpBackend, CowBackend, SmpBackend
 from repro.sim.engine import SimulationEngine
 from repro.sim.latencies import NetworkKind
+from repro.topology.canned import deepen_spec
 from repro.trace.events import Trace
 
 KB = 1024
@@ -47,6 +48,16 @@ SPECS = [
 ]
 
 _SPEC_IDS = [s.name for s in SPECS]
+
+#: A two-level CLUMP-of-SMPs (racks of switched machines): the
+#: vectorized lane must stay exact on a non-flat hierarchy too.
+DEEP = deepen_spec(
+    PlatformSpec(
+        name="eq-flat8", n=2, N=4, cache_bytes=2 * KB, memory_bytes=256 * KB,
+        network=NetworkKind.ETHERNET_100,
+    ),
+    rack_size=2,
+)
 
 
 def _random_run(procs: int, seed: int, refs: int = 800) -> ApplicationRun:
@@ -89,7 +100,7 @@ def _assert_identical(scalar, batched) -> None:
     assert batched.stats.as_dict() == scalar.stats.as_dict()
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
+@pytest.mark.parametrize("spec", SPECS + [DEEP], ids=_SPEC_IDS + ["deep"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("horizon", [0.0, 200.0])
 def test_random_traces_identical(spec, seed, horizon):
@@ -155,40 +166,6 @@ def test_composed_matches_legacy_on_fft(spec, fft_run_4):
     ).execute()
     composed = SimulationEngine(spec, fft_run_4).execute()
     _assert_identical(legacy, composed)
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
-@pytest.mark.parametrize("seed", [0, 1])
-def test_three_lane_identity(spec, seed):
-    """The two-lane invariant extended to three: the stacked tensor
-    lane (grouped, padded, batch-scheduled) returns the same bits as
-    the scalar and vectorized lanes for every backend family."""
-    from repro.sim.stacked import StackedCell, simulate_grid
-
-    run = _random_run(spec.total_processors, seed)
-    scalar = SimulationEngine(spec, run, fastpath=False).execute()
-    batched = SimulationEngine(spec, run, fastpath=True).execute()
-    (stacked,) = simulate_grid(
-        [StackedCell.make("random", spec, seed=seed)],
-        run_provider=lambda name, procs, s, kw: _random_run(procs, s),
-    )
-    _assert_identical(scalar, batched)
-    _assert_identical(scalar, stacked)
-
-
-def test_three_lane_identity_on_mixed_grid():
-    """One grid spanning every spec family at once still slices back
-    per-cell bit-identical results."""
-    from repro.sim.stacked import StackedCell, simulate_grid
-
-    cells = [StackedCell.make("random", spec, seed=0) for spec in SPECS]
-    results = simulate_grid(
-        cells, run_provider=lambda name, procs, s, kw: _random_run(procs, s)
-    )
-    for cell, got in zip(cells, results):
-        run = _random_run(cell.procs, cell.seed)
-        scalar = SimulationEngine(cell.spec, run, fastpath=False).execute()
-        _assert_identical(scalar, got)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)

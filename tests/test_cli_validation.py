@@ -145,33 +145,6 @@ class TestDesignBatchOptions:
             main(["design", "--workload", "LU", "--budget", "50"])
 
 
-class TestLaneValidation:
-    def test_runner_lane_choices_enforced(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            _parse(["simulate", "--app", "FFT", "--lane", "warp"])
-        assert exc.value.code == 2
-        assert "--lane" in capsys.readouterr().err
-
-    def test_runner_lane_accepts_all_four(self):
-        for lane in ("auto", "tensor", "pool", "serial"):
-            args = _parse(["simulate", "--app", "FFT", "--lane", lane])
-            assert args.lane == lane
-
-    def test_design_lane_has_no_serial(self, capsys):
-        """The design search has no serial lane (jobs=1 pool already is
-        one); the CLI must not pretend otherwise."""
-        with pytest.raises(SystemExit) as exc:
-            _parse(["design", "--workload", "LU", "--budget", "8000",
-                    "--lane", "serial"])
-        assert exc.value.code == 2
-        assert "--lane" in capsys.readouterr().err
-
-    def test_design_lane_accepts_tensor(self):
-        args = _parse(["design", "--workload", "LU", "--budget", "8000",
-                       "--lane", "tensor"])
-        assert args.lane == "tensor"
-
-
 class TestUpgradeGrowthValidation:
     BASE = ["upgrade", "--workload", "FFT", "--budget-increase", "2000"]
 
