@@ -480,7 +480,7 @@ def _ledger_record(args: argparse.Namespace, runner, spec, res) -> None:
         config_hash=hashlib.sha256(payload.encode()).hexdigest(),
         total_cycles=res.total_cycles,
         references=res.total_references,
-        profile=getattr(res, "profile", None),
+        profile=res.profile,
     )
 
 

@@ -317,8 +317,8 @@ class PlatformSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Lossless JSON-safe form; the canonical sim/design cache-key
-        material (see ``SIM_CACHE_VERSION``/``DESIGN_CACHE_VERSION``)."""
+        """Lossless JSON-safe form; the canonical simulation cache-key
+        material (see :mod:`repro.diskcache`)."""
         return {
             "name": self.name,
             "n": self.n,

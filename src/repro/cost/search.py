@@ -24,14 +24,12 @@ mechanisms:
    is pruned only when an already-evaluated configuration at equal or
    lower price is strictly faster than the candidate's bound — which
    provably preserves the exact frontier (see ``docs/COST.md``).
-3. **Parallel drivers** — a single query can shard its candidate space
-   over the PR-3 :class:`repro.pool.FaultTolerantPool` (a serial probe
-   of the lowest-bound candidates seeds every shard's incumbent — the
-   "incumbent exchange" — and each shard prunes independently; worker
-   crashes retry and degrade to serial), and a *batch* of queries fans
-   out one query per worker.  Results land in the ``.repro_cache/``
-   disk cache keyed on (workload, catalog, space, options, budget,
-   method), with the corrupt-entry quarantine the simulation cache uses.
+3. **Batch fan-out and a disk cache** — a *batch* of queries can fan
+   out one query per worker of :class:`repro.pool.FaultTolerantPool`
+   (worker crashes retry and degrade to serial); a single query always
+   runs in-process.  Answers land in the ``.repro_cache/`` disk cache
+   (:mod:`repro.diskcache`) keyed on (workload, catalog, space,
+   options, budget, method) and the package source.
 
 Observability: ``design_candidates_total``, ``design_evaluations_total``,
 ``design_pruned_total``, ``design_memo_hits_total`` and
@@ -41,13 +39,10 @@ harness (``benchmarks/bench_optimizer.py``) records the pruning ratio.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import pickle
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,14 +57,12 @@ from repro.cost.optimizer import (
     RankedConfiguration,
     _is_upgrade_of,
 )
-from repro.ioutil import atomic_write_bytes
+from repro.diskcache import DiskCache
 from repro.obs import metrics as obs_metrics
-from repro.obs.log import get_logger
 from repro.pool import FaultTolerantPool
 from repro.workloads.params import WorkloadParams
 
 __all__ = [
-    "DESIGN_CACHE_VERSION",
     "DesignQuery",
     "DesignSearch",
     "SearchStats",
@@ -78,28 +71,12 @@ __all__ = [
     "upgrade_path",
 ]
 
-_log = get_logger("repro.cost.search")
-
-#: Bump when the pickled :class:`SearchOutcome` layout or anything that
-#: determines a search answer changes shape without changing the key.
-#: 2: candidate spaces can enumerate topology mutations (rack_sizes /
-#:    extra_platforms) and specs may carry a declarative topology tree.
-#: 3: candidate spaces grew machine-mix axes (machine_speeds,
-#:    mix_max_machines) and catalogs a speed premium, so a space or
-#:    catalog with non-default values no longer collides with an old
-#:    entry keyed before those fields existed.
-DESIGN_CACHE_VERSION = 3
-
-#: Lowest-bound candidates evaluated serially to seed shard incumbents.
-_PROBE = 32
 #: Top size of a vectorized evaluation chunk.  Pruning walks ramp up to
 #: it geometrically from ``_FIRST_CHUNK`` so the incumbent is set after
 #: a handful of lowest-bound evaluations, while large spaces still
 #: amortize NumPy over full-size batches.
 _CHUNK = 64
 _FIRST_CHUNK = 8
-#: Below this many candidates a single query is not worth sharding.
-_MIN_SHARD_WORK = 128
 
 _METHODS = ("pruned", "pareto", "exhaustive")
 
@@ -236,11 +213,9 @@ class _ParetoFront:
     or below ``p``.
     """
 
-    def __init__(self, seed: Iterable[tuple[float, float]] = ()) -> None:
+    def __init__(self) -> None:
         self._prices: list[float] = []
         self._seconds: list[float] = []
-        for price, seconds in seed:
-            self.add(price, seconds)
 
     def min_seconds_at(self, price: float) -> float:
         i = bisect_right(self._prices, price) - 1
@@ -268,16 +243,12 @@ def _search_core(
     candidates: Sequence[tuple[int, PlatformSpec, float]],
     options: ModelOptions,
     method: str,
-    seed_points: Sequence[tuple[float, float]] = (),
     memo: dict | None = None,
-    chunk: int = _CHUNK,
     hierarchies: dict | None = None,
 ) -> tuple[list[tuple[int, float, float]], int, int]:
     """Prune-and-evaluate one candidate set; the engine's exact core.
 
-    ``candidates`` is ``(enumeration_index, spec, price)`` triples;
-    ``seed_points`` are (price, seconds) of configurations some other
-    shard already evaluated (the incumbent exchange).  Returns
+    ``candidates`` is ``(enumeration_index, spec, price)`` triples.  Returns
     ``(feasible, evaluated, memo_hits)`` where ``feasible`` holds
     ``(enumeration_index, price, e_instr_seconds)`` of every candidate
     whose model was computed and came back finite.  ``hierarchies`` is
@@ -359,9 +330,9 @@ def _search_core(
     order = np.argsort(bounds, kind="stable")  # (bound, enumeration) asc
 
     if method == "pruned":
-        incumbent = min((s for _, s in seed_points), default=math.inf)
+        incumbent = math.inf
         cursor = 0
-        step = min(_FIRST_CHUNK, chunk)
+        step = _FIRST_CHUNK
         while cursor < len(order):
             take = [
                 int(p)
@@ -376,14 +347,14 @@ def _search_core(
             if finite:
                 incumbent = min(incumbent, min(finite))
             cursor += step
-            step = min(chunk, step * 2)
+            step = min(_CHUNK, step * 2)
         return feasible, evaluated, memo_hits
 
     if method != "pareto":
         raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
-    front = _ParetoFront(seed_points)
+    front = _ParetoFront()
     pending: list[int] = []
-    step = min(_FIRST_CHUNK, chunk)
+    step = _FIRST_CHUNK
 
     def flush() -> None:
         seconds = eval_positions(pending)
@@ -399,7 +370,7 @@ def _search_core(
         pending.append(p)
         if len(pending) >= step:
             flush()
-            step = min(chunk, step * 2)
+            step = min(_CHUNK, step * 2)
     if pending:
         flush()
     return feasible, evaluated, memo_hits
@@ -419,26 +390,12 @@ def _materialize(
     ]
 
 
-def _solve_shard(args) -> tuple[list[tuple[int, float, float]], int, int, int]:
-    """One shard of a single query: re-enumerate, keep my indices, search."""
-    (workload, budget, catalog, space, options, method,
-     shard, nshards, skip, seed_points, chunk) = args
-    mine = [
-        c for c in _materialize(budget, catalog, space)
-        if c[0] not in skip and c[0] % nshards == shard
-    ]
-    feasible, evaluated, memo_hits = _search_core(
-        workload, mine, options, method, seed_points=seed_points, chunk=chunk
-    )
-    return feasible, evaluated, memo_hits, len(mine)
-
-
 def _solve_query(args):
     """One whole query of a batch: solved serially inside a worker."""
-    workload, budget, catalog, space, options, method, chunk = args
+    workload, budget, catalog, space, options, method = args
     candidates = _materialize(budget, catalog, space)
     feasible, evaluated, memo_hits = _search_core(
-        workload, candidates, options, method, chunk=chunk
+        workload, candidates, options, method
     )
     return feasible, evaluated, memo_hits, len(candidates)
 
@@ -462,14 +419,16 @@ class DesignSearch:
         the exact price/time frontier; ``"exhaustive"`` evaluates every
         candidate (still batched, still memoized).
     ``jobs``
-        Worker processes.  ``1`` (default) stays in-process; more shards
-        single queries and fans out batch queries via
+        Worker processes.  ``1`` (default) stays in-process; more fans
+        out :meth:`run` batches one query per worker via
         :class:`repro.pool.FaultTolerantPool` (retry / degrade-to-serial
         semantics included).  Each :meth:`run` wave is counted in
         ``design_wave_lane_total{lane}`` as ``serial`` or ``pool``.
+        Single queries always run in-process.
     ``cache_dir``
         Optional ``.repro_cache`` root; answers are pickled under
-        ``design/<sha256>.pkl`` keyed on everything that determines them.
+        ``design/<sha256>.pkl`` (:mod:`repro.diskcache`), keyed on
+        everything that determines them and on the package source.
     """
 
     def __init__(
@@ -481,7 +440,6 @@ class DesignSearch:
         method: str = "pruned",
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
-        chunk: int = _CHUNK,
         metrics: obs_metrics.MetricsRegistry | None = None,
         max_retries: int = 2,
         retry_backoff: float = 0.25,
@@ -489,14 +447,10 @@ class DesignSearch:
     ) -> None:
         if method not in _METHODS:
             raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
         self.catalog = catalog or DEFAULT_CATALOG
         self.space = space
         self.options = options or ModelOptions()
         self.method = method
-        self.chunk = chunk
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.metrics = metrics if metrics is not None else obs_metrics.REGISTRY
         self._candidates_total = self.metrics.counter(
             "design_candidates_total",
@@ -514,16 +468,7 @@ class DesignSearch:
             "design_memo_hits_total",
             "Design evaluations served from the in-memory memo",
         )
-        self._cache_lookups = self.metrics.counter(
-            "repro_cache_lookups_total",
-            ".repro_cache disk lookups by kind (sim/char/sharing) and outcome",
-            labelnames=("kind", "outcome"),
-        )
-        self._cache_corrupt = self.metrics.counter(
-            "repro_cache_corrupt_total",
-            "Corrupt .repro_cache entries quarantined and recomputed, by kind",
-            labelnames=("kind",),
-        )
+        self._cache = DiskCache(cache_dir, self.metrics)
         self._pool = FaultTolerantPool(
             jobs,
             max_retries=max_retries,
@@ -555,55 +500,19 @@ class DesignSearch:
     # ------------------------------------------------------------------
     # Disk cache
     # ------------------------------------------------------------------
-    def _cache_path(
+    def _design_key(
         self, workload: WorkloadParams, budget: float, method: str
-    ) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        payload = repr((
-            DESIGN_CACHE_VERSION, workload, self.catalog, self.space,
-            self.options, float(budget), method,
-        ))
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        return self.cache_dir / "design" / f"{digest}.pkl"
+    ) -> tuple:
+        """Disk-cache key: everything that determines a search answer."""
+        return (
+            workload, self.catalog, self.space, self.options, float(budget), method,
+        )
 
-    def _cache_load(self, path: Path | None) -> SearchOutcome | None:
-        if path is None:
+    def _cached(self, key: tuple) -> SearchOutcome | None:
+        cached = self._cache.load("design", key, SearchOutcome)
+        if cached is None:
             return None
-        try:
-            with open(path, "rb") as f:
-                outcome = pickle.load(f)
-        except FileNotFoundError:
-            outcome = None
-        except Exception as exc:  # quarantine garbage, never crash
-            self._cache_corrupt.labels(kind="design").inc()
-            qdir = self.cache_dir / "quarantine"
-            try:
-                qdir.mkdir(parents=True, exist_ok=True)
-                os.replace(path, qdir / f"design-{path.name}")
-            except OSError:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            _log.warning(
-                "quarantined corrupt design-cache entry",
-                path=str(path), error=f"{type(exc).__name__}: {exc}",
-            )
-            outcome = None
-        hit = isinstance(outcome, SearchOutcome)
-        self._cache_lookups.labels(
-            kind="design", outcome="hit" if hit else "miss"
-        ).inc()
-        return outcome if hit else None
-
-    def _cache_store(self, path: Path | None, outcome: SearchOutcome) -> None:
-        if path is None:
-            return
-        try:
-            atomic_write_bytes(path, pickle.dumps(outcome))
-        except OSError:
-            pass  # a cold cache is only a slowdown
+        return replace(cached, stats=replace(cached.stats, from_cache=True))
 
     # ------------------------------------------------------------------
     # Queries
@@ -614,36 +523,19 @@ class DesignSearch:
         budget: float,
         method: str | None = None,
     ) -> SearchOutcome:
-        """Answer one (workload, budget) design question.
+        """Answer one (workload, budget) design question, in-process.
 
-        With ``jobs > 1`` the candidate space is sharded over the pool:
-        a serial probe of the lowest-bound candidates seeds every
-        shard's incumbent, shards prune independently, and the parent
-        merges their evaluated sets.  Raises ``ValueError`` when no
-        feasible parallel platform fits the budget (matching
-        :func:`~repro.cost.optimizer.optimize_cluster`).
+        Raises ``ValueError`` when no feasible parallel platform fits
+        the budget (matching :func:`~repro.cost.optimizer.optimize_cluster`).
         """
         method = self._check_method(method)
-        path = self._cache_path(workload, budget, method)
-        cached = self._cache_load(path)
+        disk_key = self._design_key(workload, budget, method)
+        cached = self._cached(disk_key)
         if cached is not None:
-            return replace(cached, stats=replace(cached.stats, from_cache=True))
-
+            return cached
         candidates = _materialize(budget, self.catalog, self.space)
-        jobs = self._pool.jobs
-        if jobs <= 1 or len(candidates) < max(_MIN_SHARD_WORK, 2 * _PROBE):
-            feasible, evaluated, memo_hits = _search_core(
-                workload, candidates, self.options, method,
-                memo=self._memo, chunk=self.chunk, hierarchies=self._hierarchies,
-            )
-        else:
-            feasible, evaluated, memo_hits = self._search_sharded(
-                workload, budget, candidates, method, jobs
-            )
-        outcome = self._finish(
-            workload, budget, candidates, feasible, evaluated, memo_hits
-        )
-        self._cache_store(path, outcome)
+        outcome = self._solve(workload, budget, candidates, method)
+        self._cache.store("design", disk_key, outcome)
         return outcome
 
     def search_upgrade(
@@ -677,13 +569,7 @@ class DesignSearch:
         # give it an index past every enumerated one.
         next_index = max((i for i, _, _ in candidates), default=-1) + 1
         candidates.append((next_index, current, current_price))
-        feasible, evaluated, memo_hits = _search_core(
-            workload, candidates, self.options, method,
-            memo=self._memo, chunk=self.chunk, hierarchies=self._hierarchies,
-        )
-        return self._finish(
-            workload, budget, candidates, feasible, evaluated, memo_hits
-        )
+        return self._solve(workload, budget, candidates, method)
 
     def run(self, queries: Sequence[DesignQuery]) -> list[SearchOutcome]:
         """Answer a batch of queries, in-process or on the pool.
@@ -693,66 +579,55 @@ class DesignSearch:
         memo is shared across queries (same-workload queries at
         different budgets overlap almost completely), so a wave costs
         roughly one query's evaluations instead of Q.  Otherwise the
-        pool fans one query per worker -- workers solve serially
-        (sharding and fan-out don't compose) and cannot share the memo
-        across processes.  Answers are identical either way (the memo
-        only replays exact floats); cached answers never reach either
-        path.  Results align with ``queries`` by position.
+        pool fans one query per worker -- workers solve serially and
+        cannot share the memo across processes.  Answers are identical
+        either way (the memo only replays exact floats); cached answers
+        never reach either path.  Results align with ``queries`` by
+        position.
         """
         results: dict[int, SearchOutcome] = {}
         tasks: list[tuple[str, object]] = []
-        task_meta: list[tuple[int, DesignQuery, Path | None]] = []
+        task_meta: list[tuple[int, DesignQuery, tuple]] = []
         for i, q in enumerate(queries):
             method = self._check_method(q.method)
-            path = self._cache_path(q.workload, q.budget, method)
-            cached = self._cache_load(path)
+            disk_key = self._design_key(q.workload, q.budget, method)
+            cached = self._cached(disk_key)
             if cached is not None:
-                results[i] = replace(
-                    cached, stats=replace(cached.stats, from_cache=True)
-                )
+                results[i] = cached
                 continue
             tasks.append((
                 f"{q.workload.name}@${q.budget:,.0f}",
                 (q.workload, q.budget, self.catalog, self.space,
-                 self.options, method, self.chunk),
+                 self.options, method),
             ))
-            task_meta.append((i, q, path))
+            task_meta.append((i, q, disk_key))
 
         if tasks:
             lane = "serial" if self._pool.jobs <= 1 else "pool"
             self._wave_lane_total.labels(lane=lane).inc()
             if lane == "serial":
                 enum_memo: dict[float, list] = {}
-                for (_desc, args), (i, q, path) in zip(tasks, task_meta):
-                    workload, budget, _catalog, _space, options, method, chunk = args
+                for (_desc, args), (i, _q, disk_key) in zip(tasks, task_meta):
+                    workload, budget, _catalog, _space, _options, method = args
                     key = float(budget)
                     if key not in enum_memo:
                         enum_memo[key] = _materialize(
                             budget, self.catalog, self.space
                         )
-                    candidates = enum_memo[key]
-                    feasible, evaluated, memo_hits = _search_core(
-                        workload, candidates, options, method,
-                        memo=self._memo, chunk=chunk,
-                        hierarchies=self._hierarchies,
-                    )
-                    outcome = self._finish(
-                        q.workload, q.budget, candidates, feasible,
-                        evaluated, memo_hits,
-                    )
-                    self._cache_store(path, outcome)
+                    outcome = self._solve(workload, budget, enum_memo[key], method)
+                    self._cache.store("design", disk_key, outcome)
                     results[i] = outcome
                 return [results[i] for i in range(len(queries))]
 
         def collect(t: int, value) -> None:
-            i, q, path = task_meta[t]
+            i, q, disk_key = task_meta[t]
             feasible, evaluated, memo_hits, total = value
             candidates = _materialize(q.budget, self.catalog, self.space)
             outcome = self._finish(
                 q.workload, q.budget, candidates, feasible, evaluated,
                 memo_hits,
             )
-            self._cache_store(path, outcome)
+            self._cache.store("design", disk_key, outcome)
             results[i] = outcome
 
         self._pool.run(_solve_query, tasks, collect)
@@ -767,49 +642,21 @@ class DesignSearch:
             raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
         return method
 
-    def _search_sharded(
+    def _solve(
         self,
         workload: WorkloadParams,
         budget: float,
-        candidates: list[tuple[int, PlatformSpec, float]],
+        candidates: Sequence[tuple[int, PlatformSpec, float]],
         method: str,
-        jobs: int,
-    ) -> tuple[list[tuple[int, float, float]], int, int]:
-        """Partitioned single-query search with seeded incumbents."""
-        cases = [_case_for(spec, workload, self.options) for _, spec, _ in candidates]
-        bounds = e_instr_lower_bounds(
-            cases, workload.locality, workload.gamma,
-            hierarchy_memo=self._hierarchies, **_bound_kwargs(self.options),
-        )
-        probe_positions = [int(p) for p in np.argsort(bounds, kind="stable")[:_PROBE]]
-        probe = [candidates[p] for p in probe_positions]
+    ) -> SearchOutcome:
+        """Search ``candidates`` in-process, sharing the engine's memos."""
         feasible, evaluated, memo_hits = _search_core(
-            workload, probe, self.options,
-            "exhaustive",  # the probe is tiny; evaluate it all
-            memo=self._memo, chunk=self.chunk, hierarchies=self._hierarchies,
+            workload, candidates, self.options, method,
+            memo=self._memo, hierarchies=self._hierarchies,
         )
-        seed_points = tuple((price, seconds) for _, price, seconds in feasible)
-        skip = frozenset(index for index, _, _ in probe)
-        nshards = min(jobs, max(1, (len(candidates) - len(probe)) // self.chunk))
-        tasks = [
-            (
-                f"{workload.name}@${budget:,.0f}#{shard}",
-                (workload, budget, self.catalog, self.space, self.options,
-                 method, shard, nshards, skip, seed_points, self.chunk),
-            )
-            for shard in range(nshards)
-        ]
-        merged = list(feasible)
-        totals = [evaluated, memo_hits]
-
-        def collect(_t: int, value) -> None:
-            shard_feasible, shard_evaluated, shard_memo_hits, _size = value
-            merged.extend(shard_feasible)
-            totals[0] += shard_evaluated
-            totals[1] += shard_memo_hits
-
-        self._pool.run(_solve_shard, tasks, collect)
-        return merged, totals[0], totals[1]
+        return self._finish(
+            workload, budget, candidates, feasible, evaluated, memo_hits
+        )
 
     def _finish(
         self,

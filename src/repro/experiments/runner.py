@@ -9,11 +9,12 @@ each processor count appearing in the platform tables, a simulation per
 Simulation cells are independent of each other, so :meth:`compare` and
 :meth:`calibrate` fan uncached cells out over a ``concurrent.futures``
 process pool (``jobs`` workers, default ``os.cpu_count()``).  Results
-are additionally persisted under ``.repro_cache/sim/<sha256>.pkl``,
-keyed by a content hash of everything that determines the outcome --
-application name and constructor overrides, seed, engine horizon, the
-full platform spec and a cache-format version -- so re-running a grid
-reloads finished cells instead of resimulating them.
+are additionally persisted under ``.repro_cache/sim/<sha256>.pkl``
+(:mod:`repro.diskcache`), keyed on everything that determines the
+outcome -- application name and constructor overrides, seed, engine
+horizon, the full platform spec, sampling, faults and profiling -- plus
+the package source, so re-running a grid reloads finished cells
+instead of resimulating them.
 
 :class:`Calibration` bundles the model's free constants.  The paper
 calibrates exactly one of them (the 12.4% remote-access-rate
@@ -26,13 +27,10 @@ procedure the authors describe for their adjustment.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
-import pickle
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,9 +41,9 @@ from repro.core.batch import BatchCase, e_instr_seconds_batch
 from repro.core.execution import ExecutionEstimate, evaluate
 from repro.core.platform import PlatformSpec
 from repro.core.validation import ComparisonRow
+from repro.diskcache import DiskCache
 from repro.experiments.configs import SCALE
 from repro.faults.plan import FaultPlan
-from repro.ioutil import atomic_write_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.obs.spans import Span, Tracer, get_tracer
@@ -55,24 +53,6 @@ from repro.trace.analysis import analyze_trace, measure_sharing
 from repro.workloads.params import WorkloadParams
 
 __all__ = ["Calibration", "ExperimentRunner", "DEFAULT_CALIBRATION"]
-
-#: Bump when simulator changes invalidate previously cached results.
-#: 2: SimulationResult grew a ``timeline`` field (PR 2).
-#: 3: SimulationResult grew fault fields; the key covers the fault plan.
-#: 4: platforms may carry a declarative topology tree; the spec enters
-#:    the key as canonical ``to_dict`` JSON instead of dataclass repr.
-#: 5: grid execution lanes land (PR 6).  Results never depend on the
-#:    lane, but the bump cleanly separates entries written by pre-lane
-#:    builds; per-cell keys are otherwise unchanged, so cache hits
-#:    still work cell-wise whichever lane computed them.
-#: 6: SimulationResult grew a ``profile`` field (PR 7); the key covers
-#:    the profile flag so profiled and unprofiled cells never shadow
-#:    each other.
-#: 7: the engine accepts per-process compute-speed scales for
-#:    heterogeneous scheduling (PR 10).  Unscaled runs stay
-#:    bit-identical to version 6, but the bump cleanly separates
-#:    entries written by pre-scales builds.
-SIM_CACHE_VERSION = 7
 
 _log = get_logger("repro.experiments.runner")
 
@@ -223,7 +203,6 @@ class ExperimentRunner:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if sample_every is not None and sample_every <= 0:
             raise ValueError("sample_every must be positive (or None to disable)")
         self.sample_every = sample_every
@@ -233,16 +212,7 @@ class ExperimentRunner:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.metrics = metrics if metrics is not None else obs_metrics.REGISTRY
-        self._cache_lookups = self.metrics.counter(
-            "repro_cache_lookups_total",
-            ".repro_cache disk lookups by kind (sim/char/sharing) and outcome",
-            labelnames=("kind", "outcome"),
-        )
-        self._cache_corrupt = self.metrics.counter(
-            "repro_cache_corrupt_total",
-            "Corrupt .repro_cache entries quarantined and recomputed, by kind",
-            labelnames=("kind",),
-        )
+        self._cache = DiskCache(cache_dir, self.metrics)
         self._cell_retries = self.metrics.counter(
             "repro_cell_retries_total",
             "Simulation-cell attempts retried after a failure",
@@ -280,93 +250,24 @@ class ExperimentRunner:
         self._sims: dict[tuple[str, str], SimulationResult] = {}
 
     # ------------------------------------------------------------------
-    # disk cache
+    # disk-cache keys: every input that determines the value
     # ------------------------------------------------------------------
-    def _sim_cache_path(self, name: str, spec: PlatformSpec) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        payload = repr(
-            (
-                SIM_CACHE_VERSION,
-                name,
-                sorted(self.app_kwargs.get(name, {}).items()),
-                self.seed,
-                float(self.horizon),
-                json.dumps(spec.to_dict(), sort_keys=True),
-                None if self.sample_every is None else float(self.sample_every),
-                self.fault_plan.cache_key() if self.fault_plan else None,
-                self.profile,
-            )
-        )
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        return self.cache_dir / "sim" / f"{digest}.pkl"
-
-    def _count_lookup(self, kind: str, hit: bool) -> None:
-        """Surface disk-cache effectiveness (invisible before PR 2)."""
-        self._cache_lookups.labels(kind=kind, outcome="hit" if hit else "miss").inc()
-
-    def _load_pickle(self, path: Path | None, kind: str = "pickle"):
-        """Load a cache entry; a corrupt one is quarantined, never fatal.
-
-        A missing file is an ordinary miss.  Anything else --
-        truncation, garbage bytes, a class rename since the entry was
-        written -- moves the file into ``<cache_dir>/quarantine/`` (so
-        the bytes stay inspectable but stop shadowing the slot), counts
-        it in ``repro_cache_corrupt_total`` and reports a miss.
-        """
-        if path is None:
-            return None
-        try:
-            with open(path, "rb") as f:
-                return pickle.load(f)
-        except FileNotFoundError:
-            return None
-        except Exception as exc:  # pickle can raise nearly anything on garbage
-            self._quarantine(path, kind, exc)
-            return None
-
-    def _quarantine(self, path: Path, kind: str, exc: Exception) -> None:
-        self._cache_corrupt.labels(kind=kind).inc()
-        qdir = (self.cache_dir or path.parent) / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / f"{kind}-{path.name}")
-        except OSError:
-            try:
-                path.unlink()  # at minimum stop tripping over it
-            except OSError:
-                pass
-        _log.warning(
-            "quarantined corrupt cache entry",
-            kind=kind, path=str(path), error=f"{type(exc).__name__}: {exc}",
+    def _sim_key(self, name: str, spec: PlatformSpec) -> tuple:
+        return (
+            name,
+            sorted(self.app_kwargs.get(name, {}).items()),
+            self.seed,
+            float(self.horizon),
+            json.dumps(spec.to_dict(), sort_keys=True),
+            None if self.sample_every is None else float(self.sample_every),
+            self.fault_plan.cache_key() if self.fault_plan else None,
+            self.profile,
         )
 
-    def _aux_cache_path(self, kind: str, name: str, *extra) -> Path | None:
-        """Disk key for derived per-app results (characterization,
-        sharing) -- everything that determines them except the platform."""
-        if self.cache_dir is None:
-            return None
-        payload = repr(
-            (
-                SIM_CACHE_VERSION,
-                kind,
-                name,
-                sorted(self.app_kwargs.get(name, {}).items()),
-                self.seed,
-                extra,
-            )
-        )
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        return self.cache_dir / kind / f"{digest}.pkl"
-
-    @staticmethod
-    def _store_pickle(path: Path | None, value) -> None:
-        if path is None:
-            return
-        try:
-            atomic_write_bytes(path, pickle.dumps(value))
-        except OSError:
-            pass  # a cold cache is only a slowdown, never an error
+    def _app_key(self, name: str, *extra) -> tuple:
+        """Key of derived per-app results (characterization, sharing) --
+        everything that determines them except the platform."""
+        return (name, sorted(self.app_kwargs.get(name, {}).items()), self.seed, extra)
 
     # ------------------------------------------------------------------
     def application_run(self, name: str, procs: int) -> ApplicationRun:
@@ -384,10 +285,8 @@ class ExperimentRunner:
     def characterization(self, name: str) -> WorkloadParams:
         """Table 2 methodology: fit (alpha, beta, gamma) on one processor."""
         if name not in self._chars:
-            path = self._aux_cache_path("char", name)
-            params = self._load_pickle(path, "char")
-            if path is not None:
-                self._count_lookup("char", params is not None)
+            disk_key = self._app_key(name)
+            params = self._cache.load("char", disk_key, WorkloadParams)
             if params is None:
                 with get_tracer().span(f"characterize:{name}"):
                     run = self.application_run(name, 1)
@@ -395,7 +294,7 @@ class ExperimentRunner:
                         run.traces[0], name=name, problem_size=run.problem_size
                     )
                     params = ch.params
-                self._store_pickle(path, params)
+                self._cache.store("char", disk_key, params)
             self._chars[name] = params
         return self._chars[name]
 
@@ -407,30 +306,26 @@ class ExperimentRunner:
             return 0.0, 1.0
         key = (name, spec.total_processors, spec.N, include_false_sharing)
         if key not in self._sharing:
-            path = self._aux_cache_path("sharing", name, *key[1:])
-            value = self._load_pickle(path, "sharing")
-            if path is not None:
-                self._count_lookup("sharing", value is not None)
+            disk_key = self._app_key(name, *key[1:])
+            value = self._cache.load("sharing", disk_key, tuple)
             if value is None:
                 with get_tracer().span(f"sharing:{name}@N{spec.N}"):
                     run = self.application_run(name, spec.total_processors)
                     value = measure_sharing(
                         run, machines=spec.N, include_false_sharing=include_false_sharing
                     )
-                self._store_pickle(path, value)
+                self._cache.store("sharing", disk_key, value)
             self._sharing[key] = value
         return self._sharing[key]
 
     def simulate(self, name: str, spec: PlatformSpec) -> SimulationResult:
         key = (name, spec.name)
         if key not in self._sims:
-            path = self._sim_cache_path(name, spec)
-            result = self._load_pickle(path, "sim")
-            if path is not None:
-                self._count_lookup("sim", result is not None)
+            disk_key = self._sim_key(name, spec)
+            result = self._cache.load("sim", disk_key, SimulationResult)
             if result is None:
                 result = self._run_cell(name, spec)
-                self._store_pickle(path, result)
+                self._cache.store("sim", disk_key, result)
             self._sims[key] = result
         return self._sims[key]
 
@@ -463,15 +358,11 @@ class ExperimentRunner:
         }
 
     def profiles(self) -> dict[str, "object"]:
-        """``app@platform -> CycleProfile`` for every profiled cell so far.
-
-        Results loaded from a pre-profile disk cache entry carry no
-        profile; such cells are simply absent (``getattr`` tolerant,
-        like :meth:`timelines`)."""
+        """``app@platform -> CycleProfile`` for every profiled cell so far."""
         return {
             f"{app}@{spec_name}": r.profile
             for (app, spec_name), r in sorted(self._sims.items())
-            if getattr(r, "profile", None) is not None
+            if r.profile is not None
         }
 
     def merged_profile(self) -> "object | None":
@@ -510,10 +401,7 @@ class ExperimentRunner:
             key = (name, spec.name)
             if key in self._sims or key in seen:
                 continue
-            path = self._sim_cache_path(name, spec)
-            result = self._load_pickle(path, "sim")
-            if path is not None:
-                self._count_lookup("sim", result is not None)
+            result = self._cache.load("sim", self._sim_key(name, spec), SimulationResult)
             if result is not None:
                 self._sims[key] = result
             else:
@@ -557,7 +445,7 @@ class ExperimentRunner:
     def _finish_cell(self, name, spec, result, span_obj=None, tracer=None) -> None:
         """Memoize and checkpoint one completed cell."""
         self._sims[(name, spec.name)] = result
-        self._store_pickle(self._sim_cache_path(name, spec), result)
+        self._cache.store("sim", self._sim_key(name, spec), result)
         if span_obj is not None:
             tracer.attach(Span.from_obj(span_obj))
 

@@ -88,7 +88,7 @@ class TestDiskCache:
 
     def test_corrupt_cache_entry_is_recomputed(self, small_app_kwargs, tmp_path):
         runner = _runner(small_app_kwargs, jobs=1, cache_dir=tmp_path)
-        path = runner._sim_cache_path("EDGE", SPECS[0])
+        path = runner._cache.path("sim", runner._sim_key("EDGE", SPECS[0]))
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a pickle")
         result = runner.simulate("EDGE", SPECS[0])
