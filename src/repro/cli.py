@@ -49,6 +49,7 @@ from repro.cost.catalog import DEFAULT_CATALOG
 from repro.cost.configspace import CandidateSpace
 from repro.cost.optimizer import optimize_upgrade
 from repro.cost.recommend import recommend
+from repro.cost.search import METHODS
 from repro.sim.latencies import NetworkKind
 from repro.workloads.params import (
     PAPER_EDGE,
@@ -496,19 +497,6 @@ def _stats_line(stats) -> str:
     return line
 
 
-def _config_payload(r) -> dict:
-    return {
-        "name": r.spec.name,
-        "machines": r.spec.N,
-        "procs_per_machine": r.spec.n,
-        "cache_kb": r.spec.cache_bytes // KB,
-        "memory_mb": r.spec.memory_bytes // MB,
-        "network": r.spec.network.value if r.spec.network else None,
-        "price": r.price,
-        "e_instr_seconds": r.e_instr_seconds,
-    }
-
-
 def _design_payload(outcome, include_frontier: bool) -> dict:
     from repro.cost.search import upgrade_path
 
@@ -516,7 +504,7 @@ def _design_payload(outcome, include_frontier: bool) -> dict:
     payload = {
         "workload": result.workload.name,
         "budget": result.budget,
-        "best": _config_payload(result.best),
+        "best": result.best.as_dict(),
         "stats": {
             "candidates": stats.candidates,
             "evaluated": stats.evaluated,
@@ -527,9 +515,9 @@ def _design_payload(outcome, include_frontier: bool) -> dict:
         },
     }
     if include_frontier:
-        payload["frontier"] = [_config_payload(r) for r in outcome.frontier]
+        payload["frontier"] = [r.as_dict() for r in outcome.frontier]
         payload["upgrade_path"] = [
-            _config_payload(r) for r in upgrade_path(outcome.frontier)
+            r.as_dict() for r in upgrade_path(outcome.frontier)
         ]
     return payload
 
@@ -626,9 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top", type=_positive_int, default=5, help="ranking entries to print")
     p.add_argument(
-        "--method", choices=("pruned", "pareto", "exhaustive"), default="pruned",
-        help="search strategy -- every method returns the identical optimum; "
-        "'pareto' additionally keeps the exact price/time frontier",
+        "--method", choices=METHODS, default="exhaustive",
+        help="search strategy -- both return the identical optimum and "
+        "frontier; 'exhaustive' (default) ranks every candidate, 'pareto' "
+        "prunes on a lower bound and ranks only what it evaluated",
     )
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
@@ -636,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pareto", action="store_true",
-        help="print the price/performance frontier and its upgrade path "
-        "(switches --method pruned to pareto so the frontier is exact)",
+        help="print the price/performance frontier and its upgrade path",
     )
     p.add_argument(
         "--rack-size", type=_rack_size, action="append", default=[],
@@ -1156,9 +1144,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.cost.search import DesignQuery, DesignSearch
 
         workload = _workload_from(args)
-        method = args.method
-        if args.pareto and method == "pruned":
-            method = "pareto"  # the frontier is only exact for pareto/exhaustive
         space = None
         if args.rack_size or args.add_platform:
             from repro.cost.model import assert_priceable
@@ -1173,7 +1158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 extra_platforms=tuple(args.add_platform),
             )
         engine = DesignSearch(
-            space=space, method=method, jobs=args.jobs,
+            space=space, method=args.method, jobs=args.jobs,
             cache_dir=args.cache_dir or None,
         )
         queries = [DesignQuery(workload, budget) for budget in args.budget]

@@ -87,8 +87,10 @@ def enumerate_configurations(
 ) -> Iterator[tuple[PlatformSpec, float]]:
     """Yield every (platform, price) with price <= budget.
 
-    Machine counts are pruned as soon as the cheapest machine variant no
-    longer fits; parallel platforms only (n*N >= 2), matching the
+    Every candidate of the space is built and priced whatever the
+    budget, which only filters the yield, so the enumeration at budget B
+    is the unbounded one (``math.inf``) restricted to price <= B, in the
+    same order.  Parallel platforms only (n*N >= 2), matching the
     paper's setting.
     """
     from repro.cost.catalog import DEFAULT_CATALOG

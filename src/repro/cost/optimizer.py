@@ -10,9 +10,10 @@ second question -- given an existing cluster and a budget increase B',
 choose the best upgraded configuration, constrained to *grow* the
 current one (same or larger n, N, cache, memory; network may be
 replaced), so the answer is an upgrade path rather than a forklift
-replacement.  For pruned search, Pareto frontiers, disk caching and
-parallel batch queries, use :class:`repro.cost.search.DesignSearch`,
-which shares these result types.
+replacement.  For many queries over one space (enumerated once, with
+memoized evaluations), Pareto frontiers, disk caching and parallel
+batch queries, use :class:`repro.cost.search.DesignSearch`, which
+shares these result types.
 
 Example -- the paper's Case 1 question ("what is the best platform this
 budget can buy for this program?") on a small candidate space:
@@ -147,6 +148,19 @@ class RankedConfiguration:
         """Price-time product: lower is more cost-effective."""
         return self.price * self.e_instr_seconds
 
+    def as_dict(self) -> dict:
+        """The JSON shape of ``repro design --json`` and ``/v1/design``."""
+        return {
+            "name": self.spec.name,
+            "machines": self.spec.N,
+            "procs_per_machine": self.spec.n,
+            "cache_kb": self.spec.cache_bytes // 1024,
+            "memory_mb": self.spec.memory_bytes // (1024 * 1024),
+            "network": self.spec.network.value if self.spec.network else None,
+            "price": self.price,
+            "e_instr_seconds": self.e_instr_seconds,
+        }
+
 
 @dataclass(frozen=True)
 class DesignResult:
@@ -156,7 +170,7 @@ class DesignResult:
     budget: float
     best: RankedConfiguration
     ranking: tuple[RankedConfiguration, ...] = field(repr=False)
-    evaluated: int = 0
+    evaluated: int = 0  #: candidates the ranking was built from
 
     def describe(self, top: int = 5) -> str:
         lines = [
@@ -178,26 +192,15 @@ def optimize_cluster(
     catalog: PriceCatalog | None = None,
     space: CandidateSpace | None = None,
     options: ModelOptions | None = None,
-    method: str = "exhaustive",
 ) -> DesignResult:
     """Paper Eq. 6: the cheapest-to-run platform a budget can buy.
 
-    ``method="exhaustive"`` (default) evaluates every candidate in one
-    vectorized batch, so ``ranking`` is the *complete* feasible set.
-    ``method="pruned"`` routes through the branch-and-bound engine
-    (:class:`repro.cost.search.DesignSearch`): ``best`` is guaranteed
-    identical, but ``ranking`` only holds the candidates whose lower
-    bound forced an evaluation.  Raises ``ValueError`` when no parallel
+    Evaluates every candidate in one vectorized batch, so ``ranking`` is
+    the *complete* feasible set.  Raises ``ValueError`` when no parallel
     platform fits the budget.
     """
     catalog = catalog or DEFAULT_CATALOG
     options = options or ModelOptions()
-    if method != "exhaustive":
-        from repro.cost.search import DesignSearch  # circular at import time
-
-        return DesignSearch(catalog, space, options, method=method).search(
-            workload, budget
-        ).result
     pairs = list(enumerate_configurations(budget, catalog=catalog, space=space))
     seconds = _predict_batch([spec for spec, _ in pairs], workload, options)
     ranked = [

@@ -1,40 +1,37 @@
-"""Pruned, parallel, batched design-space search (the Eq. 6 engine at scale).
+"""Batched, memoized design-space search (the Eq. 6 engine at scale).
 
 The paper solves  minimize E(Instr) s.t. C_cluster <= B  by enumerating
-every candidate and evaluating the analytical model on each.  That is
-exact but wasteful: most candidates are provably worse than the best one
-found early.  This module keeps the *answers* bit-for-bit identical to
-exhaustive enumeration while doing far less work, with three layered
-mechanisms:
+every candidate and evaluating the analytical model on each; that is
+this engine's default method, ``"exhaustive"``.  What makes many such
+questions cheap, none of it changing an answer:
 
-1. **Batched evaluation** — candidates are evaluated through
+1. **One enumeration per engine** — the candidate space is enumerated
+   and priced once, at an unbounded budget, and each budget is a price
+   mask over it (enumeration prices every candidate whatever the
+   budget, so the mask yields the same candidates in the same order).
+2. **Batched, memoized evaluation** — candidates go through
    :func:`repro.core.batch.e_instr_seconds_batch` (bit-identical to
-   scalar :func:`~repro.core.execution.evaluate`) in chunks, and a
-   per-engine memo keyed on ``(workload locality/gamma, spec, sharing,
-   fresh, rra)`` reuses evaluations across queries (many budgets of one
-   workload share most candidates).  A second per-engine memo keeps
-   each platform's folded hierarchy, so bounds and evaluations of every
-   query fold a platform once.
-2. **Branch-and-bound pruning** — candidates are visited in ascending
-   order of the admissible zero-contention lower bound
-   (:func:`repro.core.batch.e_instr_lower_bounds`); a candidate whose
-   bound exceeds the incumbent's exact time can never win *or tie*, so
-   it is skipped without a model evaluation.  With ``method="pareto"``
-   the incumbent is the running price/time Pareto front and a candidate
-   is pruned only when an already-evaluated configuration at equal or
-   lower price is strictly faster than the candidate's bound — which
-   provably preserves the exact frontier (see ``docs/COST.md``).
-3. **Batch fan-out and a disk cache** — a *batch* of queries can fan
-   out one query per worker of :class:`repro.pool.FaultTolerantPool`
-   (worker crashes retry and degrade to serial); a single query always
-   runs in-process.  Answers land in the ``.repro_cache/`` disk cache
-   (:mod:`repro.diskcache`) keyed on (workload, catalog, space,
-   options, budget, method) and the package source.
+   scalar :func:`~repro.core.execution.evaluate`); a per-engine memo
+   keyed on ``(workload locality/gamma, spec, sharing, fresh, rra)``
+   reuses evaluations across queries, and a second one folds each
+   platform's hierarchy once.
+3. **Pareto pruning** — ``method="pareto"`` visits candidates in
+   ascending order of the admissible zero-contention lower bound
+   (:func:`repro.core.batch.e_instr_lower_bounds`) and skips one only
+   when a configuration already evaluated at equal or lower price is
+   strictly faster than its bound, which keeps the optimum and the exact
+   price/time frontier (see ``docs/COST.md``).
+4. **Batch fan-out and a disk cache** — a *batch* of queries can fan
+   out one query, with its candidates, per worker of
+   :class:`repro.pool.FaultTolerantPool` (worker crashes retry and
+   degrade to serial); a single query always runs in-process.  Answers
+   land in the ``.repro_cache/`` disk cache (:mod:`repro.diskcache`)
+   keyed on (workload, catalog, space, options, budget, method) and the
+   package source.
 
 Observability: ``design_candidates_total``, ``design_evaluations_total``,
 ``design_pruned_total``, ``design_memo_hits_total`` and
-``repro_cache_lookups_total{kind="design"}`` count the work; the bench
-harness (``benchmarks/bench_optimizer.py``) records the pruning ratio.
+``repro_cache_lookups_total{kind="design"}`` count the work.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.batch import BatchCase, e_instr_lower_bounds, e_instr_seconds_batch
+from repro.core.batch import e_instr_lower_bounds, e_instr_seconds_batch
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG, PriceCatalog
 from repro.cost.configspace import CandidateSpace, enumerate_configurations
@@ -55,6 +52,7 @@ from repro.cost.optimizer import (
     DesignResult,
     ModelOptions,
     RankedConfiguration,
+    _batch_case,
     _is_upgrade_of,
 )
 from repro.diskcache import DiskCache
@@ -63,6 +61,7 @@ from repro.pool import FaultTolerantPool
 from repro.workloads.params import WorkloadParams
 
 __all__ = [
+    "METHODS",
     "DesignQuery",
     "DesignSearch",
     "SearchStats",
@@ -71,14 +70,15 @@ __all__ = [
     "upgrade_path",
 ]
 
-#: Top size of a vectorized evaluation chunk.  Pruning walks ramp up to
-#: it geometrically from ``_FIRST_CHUNK`` so the incumbent is set after
+#: Top size of a vectorized evaluation chunk.  The pareto walk ramps up
+#: to it geometrically from ``_FIRST_CHUNK`` so the front is set after
 #: a handful of lowest-bound evaluations, while large spaces still
 #: amortize NumPy over full-size batches.
 _CHUNK = 64
 _FIRST_CHUNK = 8
 
-_METHODS = ("pruned", "pareto", "exhaustive")
+#: The design methods; the CLI and the service accept exactly these.
+METHODS = ("exhaustive", "pareto")
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +107,7 @@ class SearchOutcome:
     result: DesignResult
     stats: SearchStats
     #: Price/time Pareto frontier over the evaluated candidates, cheapest
-    #: first.  Exact for ``method="pareto"`` and ``"exhaustive"``; under
-    #: ``"pruned"`` it is a subset (pruning keeps only the optimum exact).
+    #: first; exact under every method.
     frontier: tuple[RankedConfiguration, ...] = field(repr=False, default=())
 
     @property
@@ -168,22 +167,6 @@ def upgrade_path(
 # ----------------------------------------------------------------------
 # Model plumbing shared by the serial core and the pool workers
 # ----------------------------------------------------------------------
-def _case_for(
-    spec: PlatformSpec, workload: WorkloadParams, options: ModelOptions
-) -> BatchCase:
-    """Mirror ``optimizer._predict``'s per-candidate model knobs."""
-    return BatchCase(
-        spec,
-        sharing_fraction=(
-            workload.sharing_at(spec.N) if options.use_sharing else 0.0
-        ),
-        sharing_fresh_fraction=workload.sharing_fresh_fraction,
-        remote_rate_adjustment=(
-            options.remote_rate_adjustment if spec.N > 1 else 0.0
-        ),
-    )
-
-
 def _batch_kwargs(options: ModelOptions) -> dict:
     return dict(
         mode=options.mode,
@@ -246,7 +229,7 @@ def _search_core(
     memo: dict | None = None,
     hierarchies: dict | None = None,
 ) -> tuple[list[tuple[int, float, float]], int, int]:
-    """Prune-and-evaluate one candidate set; the engine's exact core.
+    """Evaluate one candidate set; the engine's exact core.
 
     ``candidates`` is ``(enumeration_index, spec, price)`` triples.  Returns
     ``(feasible, evaluated, memo_hits)`` where ``feasible`` holds
@@ -255,11 +238,11 @@ def _search_core(
     the hierarchy-fold memo handed to the batch lane; without one the
     call keeps its own, so bounds and evaluations share folds.
 
-    Why the answers stay exact (docs/COST.md has the full argument): a
-    candidate is pruned only when its admissible lower bound *strictly*
-    exceeds an incumbent's exact time (at no higher price, for
-    ``"pareto"``), so any candidate tying the optimum — bound <= its own
-    exact time <= incumbent — is always evaluated.
+    ``"exhaustive"`` evaluates every candidate.  ``"pareto"`` prunes a
+    candidate only when its admissible lower bound *strictly* exceeds the
+    exact time of one evaluated at no higher price, so neither a frontier
+    member nor anything tying the optimum — bound <= its own exact time
+    <= any exact time — is ever skipped (docs/COST.md has the argument).
     """
     locality, gamma = workload.locality, workload.gamma
     # The memo must key on the *workload* too, not just the candidate:
@@ -269,7 +252,7 @@ def _search_core(
     wkey = (locality, gamma)
     if hierarchies is None:
         hierarchies = {}
-    cases = [_case_for(spec, workload, options) for _, spec, _ in candidates]
+    cases = [_batch_case(spec, workload, options) for _, spec, _ in candidates]
     feasible: list[tuple[int, float, float]] = []
     evaluated = 0
     memo_hits = 0
@@ -328,30 +311,6 @@ def _search_core(
         **_bound_kwargs(options),
     )
     order = np.argsort(bounds, kind="stable")  # (bound, enumeration) asc
-
-    if method == "pruned":
-        incumbent = math.inf
-        cursor = 0
-        step = _FIRST_CHUNK
-        while cursor < len(order):
-            take = [
-                int(p)
-                for p in order[cursor:cursor + step]
-                if bounds[p] <= incumbent
-            ]
-            if not take:
-                break  # bounds ascend: everything left is prunable
-            seconds = eval_positions(take)
-            commit(take, seconds)
-            finite = [s for s in seconds if math.isfinite(s)]
-            if finite:
-                incumbent = min(incumbent, min(finite))
-            cursor += step
-            step = min(_CHUNK, step * 2)
-        return feasible, evaluated, memo_hits
-
-    if method != "pareto":
-        raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
     front = _ParetoFront()
     pending: list[int] = []
     step = _FIRST_CHUNK
@@ -379,25 +338,10 @@ def _search_core(
 # ----------------------------------------------------------------------
 # Pool workers (module-level: must be picklable)
 # ----------------------------------------------------------------------
-def _materialize(
-    budget: float, catalog: PriceCatalog, space: CandidateSpace | None
-) -> list[tuple[int, PlatformSpec, float]]:
-    return [
-        (i, spec, price)
-        for i, (spec, price) in enumerate(
-            enumerate_configurations(budget, catalog=catalog, space=space)
-        )
-    ]
-
-
 def _solve_query(args):
     """One whole query of a batch: solved serially inside a worker."""
-    workload, budget, catalog, space, options, method = args
-    candidates = _materialize(budget, catalog, space)
-    feasible, evaluated, memo_hits = _search_core(
-        workload, candidates, options, method
-    )
-    return feasible, evaluated, memo_hits, len(candidates)
+    workload, candidates, options, method = args
+    return _search_core(workload, candidates, options, method)
 
 
 # ----------------------------------------------------------------------
@@ -406,18 +350,20 @@ def _solve_query(args):
 class DesignSearch:
     """A reusable design-query engine over one catalog and candidate space.
 
-    Construct once, then answer any number of single
-    (:meth:`search`, :meth:`search_upgrade`) or batched (:meth:`run`)
-    queries; the evaluation memo, the worker pool and the disk cache
-    persist across queries.
+    Construct once, then answer any number of single (:meth:`search`)
+    or batched (:meth:`run`) queries; the candidate enumeration, the
+    evaluation memo, the worker pool and the disk cache persist across
+    queries.
 
     Parameters mirror :func:`repro.cost.optimizer.optimize_cluster` plus:
 
     ``method``
-        ``"pruned"`` (default) guarantees only the optimal configuration
-        (and its full tie set) is exact; ``"pareto"`` additionally keeps
-        the exact price/time frontier; ``"exhaustive"`` evaluates every
-        candidate (still batched, still memoized).
+        ``"exhaustive"`` (default) evaluates every candidate (still
+        batched, still memoized), so ``ranking`` is the complete feasible
+        ranking :func:`~repro.cost.optimizer.optimize_cluster` returns;
+        ``"pareto"`` prunes on the lower bound and keeps the optimum
+        (with its full tie set) and the exact price/time frontier, but
+        ranks only the candidates it evaluated.
     ``jobs``
         Worker processes.  ``1`` (default) stays in-process; more fans
         out :meth:`run` batches one query per worker via
@@ -437,7 +383,7 @@ class DesignSearch:
         space: CandidateSpace | None = None,
         options: ModelOptions | None = None,
         *,
-        method: str = "pruned",
+        method: str = "exhaustive",
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
         metrics: obs_metrics.MetricsRegistry | None = None,
@@ -445,8 +391,8 @@ class DesignSearch:
         retry_backoff: float = 0.25,
         query_timeout: float | None = None,
     ) -> None:
-        if method not in _METHODS:
-            raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
+        if method not in METHODS:
+            raise ValueError(f"unknown search method {method!r}; use one of {METHODS}")
         self.catalog = catalog or DEFAULT_CATALOG
         self.space = space
         self.options = options or ModelOptions()
@@ -492,6 +438,9 @@ class DesignSearch:
             "Design evaluation waves executed, by chosen lane",
             labelnames=("lane",),
         )
+        #: Every (spec, price) of the space in enumeration order, built on
+        #: first use so that constructing an engine stays cheap.
+        self._enumeration: list[tuple[PlatformSpec, float]] | None = None
         self._memo: dict = {}
         #: Folded hierarchies by (spec, knobs): bounded, like ``_memo``,
         #: by the candidate space.
@@ -533,61 +482,25 @@ class DesignSearch:
         cached = self._cached(disk_key)
         if cached is not None:
             return cached
-        candidates = _materialize(budget, self.catalog, self.space)
-        outcome = self._solve(workload, budget, candidates, method)
+        outcome = self._solve(workload, budget, self._candidates(budget), method)
         self._cache.store("design", disk_key, outcome)
         return outcome
-
-    def search_upgrade(
-        self,
-        workload: WorkloadParams,
-        current: PlatformSpec,
-        budget_increase: float,
-        method: str | None = None,
-    ) -> SearchOutcome:
-        """The upgrade question through the pruned engine.
-
-        Candidates are restricted to structural upgrades of ``current``
-        (the :func:`~repro.cost.optimizer.optimize_upgrade` rule) under
-        the current price plus ``budget_increase``; the current platform
-        itself is always part of the candidate set, so the answer never
-        regresses below the machine the owner already has.
-        """
-        from repro.cost.model import assert_priceable, cluster_cost
-
-        method = self._check_method(method)
-        if budget_increase < 0:
-            raise ValueError("budget increase must be non-negative")
-        assert_priceable(self.catalog, current)
-        current_price = cluster_cost(self.catalog, current)
-        budget = current_price + budget_increase
-        candidates = [
-            c for c in _materialize(budget, self.catalog, self.space)
-            if _is_upgrade_of(c[1], current)
-        ]
-        # The owner's machine competes too (and guarantees feasibility);
-        # give it an index past every enumerated one.
-        next_index = max((i for i, _, _ in candidates), default=-1) + 1
-        candidates.append((next_index, current, current_price))
-        return self._solve(workload, budget, candidates, method)
 
     def run(self, queries: Sequence[DesignQuery]) -> list[SearchOutcome]:
         """Answer a batch of queries, in-process or on the pool.
 
-        At ``jobs <= 1`` every uncached query is solved in-process: the
-        candidate enumeration is shared per budget and the evaluation
-        memo is shared across queries (same-workload queries at
-        different budgets overlap almost completely), so a wave costs
+        At ``jobs <= 1`` every uncached query is solved in-process,
+        sharing the evaluation memo across queries (same-workload queries
+        at different budgets overlap almost completely), so a wave costs
         roughly one query's evaluations instead of Q.  Otherwise the
-        pool fans one query per worker -- workers solve serially and
-        cannot share the memo across processes.  Answers are identical
-        either way (the memo only replays exact floats); cached answers
-        never reach either path.  Results align with ``queries`` by
-        position.
+        pool fans one query, with its candidates, per worker -- workers
+        solve serially and cannot share the memo across processes.
+        Answers are identical either way (the memo only replays exact
+        floats); cached answers never reach either path.  Results align
+        with ``queries`` by position.
         """
         results: dict[int, SearchOutcome] = {}
-        tasks: list[tuple[str, object]] = []
-        task_meta: list[tuple[int, DesignQuery, tuple]] = []
+        pending: list[tuple[int, DesignQuery, str, list, tuple]] = []
         for i, q in enumerate(queries):
             method = self._check_method(q.method)
             disk_key = self._design_key(q.workload, q.budget, method)
@@ -595,41 +508,30 @@ class DesignSearch:
             if cached is not None:
                 results[i] = cached
                 continue
-            tasks.append((
-                f"{q.workload.name}@${q.budget:,.0f}",
-                (q.workload, q.budget, self.catalog, self.space,
-                 self.options, method),
-            ))
-            task_meta.append((i, q, disk_key))
+            pending.append((i, q, method, self._candidates(q.budget), disk_key))
 
-        if tasks:
-            lane = "serial" if self._pool.jobs <= 1 else "pool"
-            self._wave_lane_total.labels(lane=lane).inc()
-            if lane == "serial":
-                enum_memo: dict[float, list] = {}
-                for (_desc, args), (i, _q, disk_key) in zip(tasks, task_meta):
-                    workload, budget, _catalog, _space, _options, method = args
-                    key = float(budget)
-                    if key not in enum_memo:
-                        enum_memo[key] = _materialize(
-                            budget, self.catalog, self.space
-                        )
-                    outcome = self._solve(workload, budget, enum_memo[key], method)
-                    self._cache.store("design", disk_key, outcome)
-                    results[i] = outcome
-                return [results[i] for i in range(len(queries))]
+        if not pending:
+            return [results[i] for i in range(len(queries))]
+        lane = "serial" if self._pool.jobs <= 1 else "pool"
+        self._wave_lane_total.labels(lane=lane).inc()
+        if lane == "serial":
+            for i, q, method, candidates, disk_key in pending:
+                outcome = self._solve(q.workload, q.budget, candidates, method)
+                self._cache.store("design", disk_key, outcome)
+                results[i] = outcome
+            return [results[i] for i in range(len(queries))]
 
         def collect(t: int, value) -> None:
-            i, q, disk_key = task_meta[t]
-            feasible, evaluated, memo_hits, total = value
-            candidates = _materialize(q.budget, self.catalog, self.space)
-            outcome = self._finish(
-                q.workload, q.budget, candidates, feasible, evaluated,
-                memo_hits,
-            )
+            i, q, _method, candidates, disk_key = pending[t]
+            outcome = self._finish(q.workload, q.budget, candidates, *value)
             self._cache.store("design", disk_key, outcome)
             results[i] = outcome
 
+        tasks = [
+            (f"{q.workload.name}@${q.budget:,.0f}",
+             (q.workload, candidates, self.options, method))
+            for _i, q, method, candidates, _key in pending
+        ]
         self._pool.run(_solve_query, tasks, collect)
         return [results[i] for i in range(len(queries))]
 
@@ -638,9 +540,24 @@ class DesignSearch:
     # ------------------------------------------------------------------
     def _check_method(self, method: str | None) -> str:
         method = method or self.method
-        if method not in _METHODS:
-            raise ValueError(f"unknown search method {method!r}; use one of {_METHODS}")
+        if method not in METHODS:
+            raise ValueError(f"unknown search method {method!r}; use one of {METHODS}")
         return method
+
+    def _candidates(self, budget: float) -> list[tuple[int, PlatformSpec, float]]:
+        """``(enumeration_index, spec, price)`` of every candidate priced
+        within ``budget``, in enumeration order."""
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        if self._enumeration is None:
+            self._enumeration = list(
+                enumerate_configurations(math.inf, self.catalog, self.space)
+            )
+        return [
+            (i, spec, price)
+            for i, (spec, price) in enumerate(self._enumeration)
+            if price <= budget
+        ]
 
     def _solve(
         self,
@@ -686,17 +603,18 @@ class DesignSearch:
         self._evaluations_total.inc(stats.evaluated)
         self._pruned_total.inc(stats.pruned)
         self._memo_hits_total.inc(stats.memo_hits)
+        ranked_from = stats.candidates - stats.pruned  # evaluated or memo hits
         if not ranked:
             raise ValueError(
                 f"no feasible parallel platform fits ${budget:,.0f} "
-                f"(evaluated {evaluated} candidates)"
+                f"(evaluated {ranked_from} candidates)"
             )
         result = DesignResult(
             workload=workload,
             budget=budget,
             best=ranked[0],
             ranking=tuple(ranked),
-            evaluated=evaluated,
+            evaluated=ranked_from,
         )
         return SearchOutcome(
             result=result, stats=stats, frontier=pareto_frontier(ranked)

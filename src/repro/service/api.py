@@ -379,7 +379,7 @@ class QueryAPI:
             DesignAnswer(
                 workload=o.result.workload.name,
                 budget=o.result.budget,
-                best=self.config_payload(o.result.best),
+                best=o.result.best.as_dict(),
                 stats={
                     "candidates": o.stats.candidates,
                     "evaluated": o.stats.evaluated,
@@ -390,20 +390,6 @@ class QueryAPI:
             )
             for o in outcomes
         ]
-
-    @staticmethod
-    def config_payload(r) -> dict:
-        """A ranked configuration as the CLI's JSON shape."""
-        return {
-            "name": r.spec.name,
-            "machines": r.spec.N,
-            "procs_per_machine": r.spec.n,
-            "cache_kb": r.spec.cache_bytes // KB,
-            "memory_mb": r.spec.memory_bytes // MB,
-            "network": r.spec.network.value if r.spec.network else None,
-            "price": r.price,
-            "e_instr_seconds": r.e_instr_seconds,
-        }
 
     # -- simulate -------------------------------------------------------
     def _runner_for(self, seed: int, app_args_key: tuple, app_kwargs: dict | None):

@@ -33,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.backoff import RetryBudget, backoff_delay
+from repro.cost.search import METHODS
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.obs.spans import get_tracer
@@ -234,8 +235,8 @@ class ServiceCore:
             if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget <= 0:
                 raise QueryError(f"'budget' must be a positive number, got {budget!r}")
             method = obj.get("method")
-            if method is not None and method not in ("pruned", "pareto", "exhaustive"):
-                raise QueryError(f"unknown design method {method!r}")
+            if method is not None and method not in METHODS:
+                raise QueryError(f"unknown design method {method!r}; use one of {METHODS}")
             return (workload_from_obj(obj), float(budget), method)
         if endpoint == "simulate":
             app = obj.get("app")

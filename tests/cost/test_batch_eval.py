@@ -363,14 +363,14 @@ def test_mixed_locality_falls_back_to_scalar() -> None:
 
 
 def test_optimizer_accepts_workload_mixture() -> None:
-    """The pruned search answers mixture queries identically to exhaustive."""
+    """The pareto search answers mixture queries identically to exhaustive."""
     from repro.cost import DesignSearch, optimize_cluster
     from repro.workloads.mix import mix_workloads
     from repro.workloads.params import PAPER_EDGE, PAPER_LU
 
     mixed = mix_workloads([PAPER_LU, PAPER_EDGE], [0.5, 0.5], name="lu-edge")
     exhaustive = optimize_cluster(mixed, budget=12_000.0)
-    outcome = DesignSearch(method="pruned").search(mixed, budget=12_000.0)
+    outcome = DesignSearch(method="pareto").search(mixed, budget=12_000.0)
     assert outcome.best.spec == exhaustive.best.spec
     assert outcome.best.e_instr_seconds == exhaustive.best.e_instr_seconds
 

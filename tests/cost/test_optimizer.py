@@ -85,6 +85,14 @@ class TestOptimizeUpgrade:
         with pytest.raises(ValueError):
             optimize_upgrade(PAPER_LU, self.CURRENT, -1.0)
 
+    def test_unpriceable_current_rejected_up_front(self):
+        odd = PlatformSpec(
+            name="odd-cache", n=1, N=2, cache_bytes=128 * KB,
+            memory_bytes=32 * MB, network=NetworkKind.ETHERNET_10,
+        )
+        with pytest.raises(ValueError, match="cannot be priced"):
+            optimize_upgrade(PAPER_LU, odd, 1_000.0, space=SMALL_SPACE)
+
     def test_describe(self):
         res = optimize_upgrade(PAPER_LU, self.CURRENT, 2_000.0, space=SMALL_SPACE)
         assert "upgrade for LU" in res.describe()

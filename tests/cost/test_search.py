@@ -1,11 +1,12 @@
-"""The pruned/parallel/batched search must answer exactly like enumeration.
+"""The batched design search must answer exactly like enumeration.
 
 Property tests over randomized price catalogs, candidate spaces and
-budgets: branch-and-bound pruning (any method) returns the
-identical optimal configuration -- same spec, same price, bit-identical
-E(Instr) -- as exhaustive enumeration, and ``method="pareto"`` returns
-the exact price/time frontier.  Plus unit coverage of the disk cache
-(hits, quarantine), the evaluation memo, the obs counters, and the
+budgets: every method returns the identical optimal configuration --
+same spec, same price, bit-identical E(Instr) -- as exhaustive
+enumeration, the default method returns its complete ranking, and
+``method="pareto"`` returns the exact price/time frontier.  Plus unit
+coverage of the one enumeration per engine, the disk cache (hits,
+quarantine), the evaluation memo, the obs counters, and the
 upgrade-path emitter.
 """
 
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.cost.catalog import PriceCatalog
-from repro.cost.configspace import CandidateSpace
+from repro.cost.configspace import CandidateSpace, enumerate_configurations
 from repro.cost.optimizer import ModelOptions, optimize_cluster
 from repro.cost.search import (
+    METHODS,
     DesignQuery,
     DesignSearch,
     SearchOutcome,
@@ -37,8 +39,6 @@ from repro.workloads.params import (
     PAPER_RADIX,
     WorkloadParams,
 )
-
-KB, MB = 1024, 1024 * 1024
 
 SMALL_SPACE = CandidateSpace(
     max_machines=6, memory_mb_options=(32, 64), cache_kb_options=(256,)
@@ -82,32 +82,43 @@ def _random_workload(rng: np.random.Generator, i: int) -> WorkloadParams:
     )
 
 
+def _random_query(seed: int):
+    """``(catalog, space, workload, budget)`` of one randomized query."""
+    rng = np.random.default_rng(5000 + seed)
+    catalog = _random_catalog(rng)
+    space = _random_space(rng)
+    workload = _random_workload(rng, seed)
+    return catalog, space, workload, float(rng.uniform(4_000, 40_000))
+
+
 def _same_best(outcome: SearchOutcome, reference) -> None:
     assert outcome.best.spec == reference.best.spec
     assert outcome.best.price == reference.best.price
     assert outcome.best.e_instr_seconds == reference.best.e_instr_seconds
 
 
+def _rows(ranking) -> list[tuple]:
+    return [(r.spec, r.price, r.e_instr_seconds) for r in ranking]
+
+
 class TestPrunedMatchesExhaustive:
+    """Every method, pruning or not, answers like ``optimize_cluster``."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_catalogs_and_budgets(self, seed: int) -> None:
-        rng = np.random.default_rng(5000 + seed)
-        catalog = _random_catalog(rng)
-        space = _random_space(rng)
-        workload = _random_workload(rng, seed)
-        budget = float(rng.uniform(4_000, 40_000))
+        catalog, space, workload, budget = _random_query(seed)
         try:
             exhaustive = optimize_cluster(
                 workload, budget, catalog=catalog, space=space
             )
         except ValueError:  # budget drawn below this catalog's cheapest rig
-            for method in ("pruned", "pareto"):
+            for method in METHODS:
                 with pytest.raises(ValueError, match="no feasible"):
                     DesignSearch(
                         catalog, space, method=method, metrics=MetricsRegistry()
                     ).search(workload, budget)
             return
-        for method in ("pruned", "pareto"):
+        for method in METHODS:
             engine = DesignSearch(
                 catalog, space, method=method, metrics=MetricsRegistry()
             )
@@ -116,10 +127,27 @@ class TestPrunedMatchesExhaustive:
             assert outcome.stats.candidates == exhaustive.evaluated
             assert outcome.stats.evaluated <= outcome.stats.candidates
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_default_method_ranks_every_candidate(self, seed: int) -> None:
+        catalog, space, workload, budget = _random_query(seed)
+        reference = optimize_cluster(workload, budget, catalog=catalog, space=space)
+        outcome = DesignSearch(
+            catalog, space, metrics=MetricsRegistry()
+        ).search(workload, budget)
+        assert _rows(outcome.result.ranking) == _rows(reference.ranking)
+        assert outcome.result.evaluated == reference.evaluated
+
+    def test_default_ranking_names_the_true_runner_up(self) -> None:
+        """EDGE at $8k over the default space ranks a 2-way SMP second."""
+        ranking = DesignSearch(metrics=MetricsRegistry()).search(
+            PAPER_EDGE, 8_000.0
+        ).result.ranking
+        assert ranking[1].spec.name == "1x(n=2, 256KB, 32MB)"
+
     def test_paper_workloads_prune_and_agree(self) -> None:
         for workload in (PAPER_FFT, PAPER_LU, PAPER_RADIX, PAPER_EDGE):
             exhaustive = optimize_cluster(workload, 20_000.0)
-            engine = DesignSearch(method="pruned", metrics=MetricsRegistry())
+            engine = DesignSearch(method="pareto", metrics=MetricsRegistry())
             outcome = engine.search(workload, 20_000.0)
             _same_best(outcome, exhaustive)
             assert outcome.stats.pruned > 0, "default space should prune"
@@ -130,15 +158,6 @@ class TestPrunedMatchesExhaustive:
             engine.search(PAPER_LU, 100.0)
         with pytest.raises(ValueError, match="budget must be positive"):
             engine.search(PAPER_LU, -5.0)
-
-    def test_optimizer_method_pruned_routes_through_engine(self) -> None:
-        exhaustive = optimize_cluster(PAPER_LU, 9_000.0, space=SMALL_SPACE)
-        pruned = optimize_cluster(
-            PAPER_LU, 9_000.0, space=SMALL_SPACE, method="pruned"
-        )
-        assert pruned.best.spec == exhaustive.best.spec
-        assert pruned.best.e_instr_seconds == exhaustive.best.e_instr_seconds
-        assert pruned.evaluated <= exhaustive.evaluated
 
 
 class TestParetoFrontier:
@@ -280,8 +299,6 @@ class TestCachesAndMetrics:
     def test_engine_folds_each_platform_once(self, monkeypatch) -> None:
         """The engine's hierarchy memo: one fold per distinct platform
         across every query, bound and evaluation, answers unchanged."""
-        from repro.cost.search import _materialize
-
         queries = [
             DesignQuery(w, b)
             for w in (PAPER_LU, PAPER_FFT)
@@ -304,12 +321,50 @@ class TestCachesAndMetrics:
         distinct = {
             spec
             for b in (6_000.0, 9_000.0, 12_000.0)
-            for _, spec, _ in _materialize(b, engine.catalog, SMALL_SPACE)
+            for spec, _ in enumerate_configurations(b, engine.catalog, SMALL_SPACE)
         }
         assert sorted(folds, key=repr) == sorted(distinct, key=repr)
         for outcome, reference in zip(got, expected):
             _same_best(outcome, reference)
             assert outcome.frontier == reference.frontier
+
+    def test_one_enumeration_per_engine(self, monkeypatch) -> None:
+        """Every budget of every query is a price mask over the engine's
+        one enumeration; a pooled wave ships each query its candidates."""
+        import repro.cost.search as search
+
+        calls = []
+        real = search.enumerate_configurations
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "enumerate_configurations", counting)
+        queries = [
+            DesignQuery(PAPER_LU, 6_000.0),
+            DesignQuery(PAPER_EDGE, 9_000.0),
+            DesignQuery(PAPER_LU, 12_000.0),
+            DesignQuery(PAPER_EDGE, 6_000.0),
+        ]
+        engine = DesignSearch(space=SMALL_SPACE, metrics=MetricsRegistry())
+        engine.search(PAPER_LU, 8_000.0)
+        engine.search(PAPER_FFT, 15_000.0)
+        engine.run(queries)
+        assert len(calls) == 1
+        DesignSearch(space=SMALL_SPACE, jobs=2, metrics=MetricsRegistry()).run(queries)
+        assert len(calls) == 2
+
+    def test_result_counts_memo_served_candidates(self) -> None:
+        """The result header counts the candidates its ranking was built
+        from, memo hits included, as ``optimize_cluster`` does."""
+        engine = DesignSearch(method="exhaustive", metrics=MetricsRegistry())
+        _, second = engine.run(
+            [DesignQuery(PAPER_EDGE, 8_000.0), DesignQuery(PAPER_EDGE, 9_000.0)]
+        )
+        assert second.stats.memo_hits > 0
+        assert second.result.evaluated == second.stats.candidates
+        assert f"({second.stats.candidates} candidates)" in second.result.describe()
 
     def test_memo_never_crosses_workloads(self) -> None:
         """Regression: the evaluation memo must key on the workload's
@@ -342,57 +397,14 @@ class TestCachesAndMetrics:
         assert 0.0 <= stats.pruning_ratio <= 1.0
 
 
-class TestUpgradeSearch:
-    CURRENT = PlatformSpec(
-        name="owned", n=1, N=2, cache_bytes=256 * KB, memory_bytes=32 * MB,
-        network=NetworkKind.ETHERNET_10,
-    )
-
-    def test_upgrade_search_matches_optimizer_best(self) -> None:
-        from repro.cost.optimizer import optimize_upgrade
-
-        reference = optimize_upgrade(
-            PAPER_LU, self.CURRENT, 3_000.0, space=SMALL_SPACE
-        )
-        outcome = DesignSearch(
-            space=SMALL_SPACE, metrics=MetricsRegistry()
-        ).search_upgrade(PAPER_LU, self.CURRENT, 3_000.0)
-        assert outcome.best.e_instr_seconds == reference.best.e_instr_seconds
-        assert outcome.best.spec == reference.best.spec
-
-    def test_upgrade_candidates_grow_current(self) -> None:
-        outcome = DesignSearch(
-            space=SMALL_SPACE, metrics=MetricsRegistry()
-        ).search_upgrade(PAPER_EDGE, self.CURRENT, 2_000.0)
-        for r in outcome.result.ranking:
-            assert r.spec.N >= 2
-            assert r.spec.cache_bytes >= 256 * KB
-            assert r.spec.memory_bytes >= 32 * MB
-
-    def test_unpriceable_current_rejected_up_front(self) -> None:
-        odd = PlatformSpec(
-            name="odd-cache", n=1, N=2, cache_bytes=128 * KB,
-            memory_bytes=32 * MB, network=NetworkKind.ETHERNET_10,
-        )
-        with pytest.raises(ValueError, match="cannot be priced"):
-            DesignSearch(
-                space=SMALL_SPACE, metrics=MetricsRegistry()
-            ).search_upgrade(PAPER_LU, odd, 1_000.0)
-
-    def test_negative_increase_rejected(self) -> None:
-        with pytest.raises(ValueError, match="non-negative"):
-            DesignSearch(metrics=MetricsRegistry()).search_upgrade(
-                PAPER_LU, self.CURRENT, -1.0
-            )
-
-
 class TestValidation:
     def test_bad_method_rejected(self) -> None:
-        with pytest.raises(ValueError, match="unknown search method"):
-            DesignSearch(method="genetic", metrics=MetricsRegistry())
         engine = DesignSearch(metrics=MetricsRegistry())
-        with pytest.raises(ValueError, match="unknown search method"):
-            engine.search(PAPER_LU, 9_000.0, method="genetic")
+        for method in ("genetic", "pruned"):
+            with pytest.raises(ValueError, match="unknown search method"):
+                DesignSearch(method=method, metrics=MetricsRegistry())
+            with pytest.raises(ValueError, match="unknown search method"):
+                engine.search(PAPER_LU, 9_000.0, method=method)
 
     def test_pool_knobs_validated(self) -> None:
         with pytest.raises(ValueError, match="jobs must be >= 1"):

@@ -157,9 +157,20 @@ class TestDesign:
         (outcome,) = DesignSearch(jobs=1).run(
             [DesignQuery(workload, 100_000.0)]
         )
-        assert answer.best == QueryAPI.config_payload(outcome.result.best)
+        assert answer.best == outcome.result.best.as_dict()
         assert answer.best["price"] <= 100_000.0
         assert answer.stats["candidates"] == outcome.stats.candidates
+
+    def test_cli_json_best_is_the_service_best(self, api, capsys):
+        import json
+
+        from repro.cli import main
+
+        argv = ["design", "--workload", "EDGE", "--budget", "12000",
+                "--json", "--cache-dir", ""]
+        assert main(argv) == 0
+        [payload] = json.loads(capsys.readouterr().out)
+        assert payload["best"] == api.design(WORKLOADS["EDGE"], 12_000.0).best
 
     def test_bad_budget_is_a_query_error(self, api):
         with pytest.raises(QueryError, match="budget"):

@@ -14,6 +14,7 @@ import functools
 
 import pytest
 
+from repro.cost.search import METHODS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.api import QueryAPI
 from repro.service.chaos import ServiceFaultPlan, WorkerKill
@@ -102,11 +103,15 @@ class TestRoutes:
                 request("POST", "/v1/predict", {"workload": "nope"}),
                 request("POST", "/v1/design", {"workload": "FFT", "budget": -1}),
                 request("POST", "/v1/simulate", {"app": 42}),
+                request("POST", "/v1/design",
+                        {"workload": "FFT", "budget": 9_000, "method": "pruned"}),
             ]
 
-        for status, obj in drive(client):
+        answers = drive(client)
+        for status, obj in answers:
             assert status == 400
             assert "error" in obj
+        assert all(m in answers[-1][1]["error"] for m in METHODS)
 
     def test_unknown_route_and_method(self):
         def client(request, service):

@@ -128,11 +128,12 @@ class TestDesignBatchOptions:
         assert "price/performance frontier" in out
 
     def test_method_choices_enforced(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            _parse(["design", "--workload", "LU", "--budget", "8000",
-                    "--method", "genetic"])
-        assert exc.value.code == 2
-        assert "--method" in capsys.readouterr().err
+        for method in ("genetic", "pruned"):
+            with pytest.raises(SystemExit) as exc:
+                _parse(["design", "--workload", "LU", "--budget", "8000",
+                        "--method", method])
+            assert exc.value.code == 2
+            assert "--method" in capsys.readouterr().err
 
     def test_jobs_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as exc:

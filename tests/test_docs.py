@@ -4,8 +4,9 @@ A docs tree rots in two ways: a document names a file that moved or
 never landed (stale cross-link), or code renames something a document
 still teaches (stale content).  These tests pin both: every ``*.md``
 path mentioned anywhere in the docs must exist, the README must index
-every subsystem document, and the metric and package names the
-COST/ARCHITECTURE pages teach must still exist in the source.
+every subsystem document, the metric and package names the
+COST/ARCHITECTURE pages teach must still exist in the source, and
+COST.md's method table lists exactly the design engine's methods.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ class TestDocsMatchCode:
         ):
             assert metric in doc, f"COST.md no longer documents {metric}"
             assert metric in src, f"{where} no longer registers {metric}"
+
+    def test_cost_doc_method_table_lists_the_engine_methods(self):
+        from repro.cost.search import METHODS
+
+        lines = (ROOT / "docs" / "COST.md").read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("| `method` |"))
+        rows = []
+        for line in lines[header + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            rows.append(re.match(r"\| `(\w+)`", line).group(1))
+        assert sorted(rows) == sorted(METHODS)
 
     def test_architecture_doc_names_real_packages(self):
         doc = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
