@@ -43,11 +43,10 @@ from typing import Sequence
 from repro.obs.log import get_logger, set_level
 from repro.obs.profile import CAUSES
 
-from repro.core.execution import evaluate
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG
 from repro.cost.configspace import CandidateSpace
-from repro.cost.optimizer import optimize_upgrade
+from repro.cost.optimizer import ModelOptions, _batch_case, _predict, optimize_upgrade
 from repro.cost.recommend import recommend
 from repro.cost.search import METHODS
 from repro.sim.latencies import NetworkKind
@@ -1191,7 +1190,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "predict" and args.policy:
-        from repro.scheduling import HeteroPlatform, evaluate_hetero, resolve_policy
+        from repro.scheduling import (
+            HeteroPlatform,
+            evaluate_hetero,
+            process_costs,
+            resolve_policy,
+        )
 
         workload = _workload_from(args)
         spec = _platform_from(args)
@@ -1201,19 +1205,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "supports --mode open only (the throttled/mva fixed points fold "
                 "the barrier inside their iteration; see docs/SCHEDULING.md)"
             )
-        platform = HeteroPlatform.from_spec(spec)
-        kwargs = dict(
-            remote_rate_adjustment=0.124 if spec.N > 1 else 0.0,
-            on_saturation="inf",
-            sharing_fraction=workload.sharing_at(spec.N),
-            sharing_fresh_fraction=workload.sharing_fresh_fraction,
+        knobs = _batch_case(spec, workload, ModelOptions())
+        costs = process_costs(
+            HeteroPlatform.from_spec(spec),
+            workload.locality,
+            workload.gamma,
+            remote_rate_adjustment=knobs.remote_rate_adjustment,
+            sharing_fraction=knobs.sharing_fraction,
+            sharing_fresh_fraction=knobs.sharing_fresh_fraction,
         )
-        share = resolve_policy(args.policy)(
-            platform, workload.locality, workload.gamma, **kwargs
-        )
-        est = evaluate_hetero(
-            platform, workload.locality, workload.gamma, share, **kwargs
-        )
+        est = evaluate_hetero(costs, resolve_policy(args.policy)(costs))
         print(spec.describe())
         print(est.describe())
         return 0
@@ -1221,16 +1222,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "predict":
         workload = _workload_from(args)
         spec = _platform_from(args)
-        est = evaluate(
-            spec,
-            workload.locality,
-            workload.gamma,
-            remote_rate_adjustment=0.124 if spec.N > 1 else 0.0,
-            mode=args.mode,
-            on_saturation="inf",
-            sharing_fraction=workload.sharing_at(spec.N),
-            sharing_fresh_fraction=workload.sharing_fresh_fraction,
-        )
+        est = _predict(spec, workload, ModelOptions(mode=args.mode))
         print(spec.describe())
         print(est.amat.describe())
         print(f"E(Instr) = {est.e_instr_seconds:.3e} s/instruction")

@@ -25,9 +25,6 @@ from repro.core.hierarchy import (
     MemoryLevel,
     PlatformKind,
     additional_levels,
-    clump_hierarchy,
-    cow_hierarchy,
-    smp_hierarchy,
 )
 from repro.core.platform import NetworkSpec, NetworkTopology, PlatformSpec
 from repro.core.amat import AmatBreakdown, LevelContribution, average_memory_access_time
@@ -62,9 +59,7 @@ __all__ = [
     "barrier_cycle_time",
     "barrier_wait_time",
     "calibrate_remote_adjustment",
-    "clump_hierarchy",
     "compare",
-    "cow_hierarchy",
     "e_app_seconds",
     "e_instr_cycles",
     "e_instr_seconds",
@@ -78,7 +73,6 @@ __all__ = [
     "mva_smp_amat",
     "queued_contribution",
     "relative_error",
-    "smp_hierarchy",
     "solve_mva",
     "speedup_curve",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 from repro.core.amat import AmatBreakdown, average_memory_access_time
 from repro.core.locality import StackDistanceModel
@@ -30,7 +30,6 @@ __all__ = [
     "e_instr_seconds",
     "e_app_seconds",
     "evaluate",
-    "evaluate_batch",
 ]
 
 
@@ -177,61 +176,4 @@ def evaluate(
         e_instr_seconds=cycles / spec.cpu_hz if math.isfinite(cycles) else math.inf,
         total_processors=spec.total_processors,
         cpu_hz=spec.cpu_hz,
-    )
-
-
-def evaluate_batch(
-    specs: Sequence,
-    locality: StackDistanceModel,
-    gamma: float,
-    *,
-    mode: Literal["open", "throttled", "mva"] = "open",
-    on_saturation: Literal["raise", "inf"] = "raise",
-    remote_rate_adjustment: float = 0.0,
-    barrier_scale: float = 1.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
-    cache_capacity_factor: float = 1.0,
-    contention_boost: float = 1.0,
-    force_scalar: bool = False,
-):
-    """Predict E(Instr) seconds for *many* platforms at once, vectorized.
-
-    The batch analogue of :func:`evaluate` and the evaluation layer the
-    design-space optimizer runs on: ``specs`` is a sequence of
-    :class:`~repro.core.platform.PlatformSpec` (or
-    :class:`~repro.core.batch.BatchCase` for per-candidate sharing and
-    remote-rate knobs), the keyword arguments mirror :func:`evaluate`,
-    and the result is a float64 array of ``e_instr_seconds``,
-    **bit-identical** to calling :func:`evaluate` per spec (see
-    :mod:`repro.core.batch` for how the scalar arithmetic is replicated).
-
-    >>> from repro.core.locality import StackDistanceModel
-    >>> from repro.core.platform import PlatformSpec
-    >>> loc = StackDistanceModel(alpha=1.6, beta=1000.0)
-    >>> smp = PlatformSpec("S4", n=4, N=1, cache_bytes=256 * 1024,
-    ...                    memory_bytes=64 * 1024 * 1024)
-    >>> batch = evaluate_batch([smp], loc, gamma=0.3, mode="throttled")
-    >>> float(batch[0]) == evaluate(smp, loc, 0.3, mode="throttled").e_instr_seconds
-    True
-    """
-    from repro.core.batch import e_instr_seconds_batch
-
-    return e_instr_seconds_batch(
-        specs,
-        locality,
-        gamma,
-        mode=mode,
-        on_saturation=on_saturation,
-        remote_rate_adjustment=remote_rate_adjustment,
-        barrier_scale=barrier_scale,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        sharing_fraction=sharing_fraction,
-        sharing_fresh_fraction=sharing_fresh_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-        contention_boost=contention_boost,
-        force_scalar=force_scalar,
     )

@@ -15,6 +15,10 @@ beyond which a reference reaches it, the additional uncontended cost of
 doing so, and the number of agents contending for the resource that
 serves it.  :func:`repro.core.amat.average_memory_access_time` folds this
 structure with a workload's locality model into the paper's Eq. 7/11.
+
+This module builds no hierarchy.  Every platform's hierarchy comes from
+one fold of a topology tree, :func:`repro.topology.build.build_hierarchy`;
+:meth:`repro.core.platform.PlatformSpec.hierarchy` folds the spec's tree.
 """
 
 from __future__ import annotations
@@ -22,17 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.sim.latencies import LatencyTable, NetworkKind
-
 __all__ = [
     "LevelKind",
     "MemoryLevel",
     "MemoryHierarchy",
     "PlatformKind",
     "additional_levels",
-    "smp_hierarchy",
-    "cow_hierarchy",
-    "clump_hierarchy",
 ]
 
 
@@ -170,126 +169,3 @@ def _effective_cache(cache_items: float, factor: float) -> float:
     if not (0.0 < factor <= 1.0):
         raise ValueError(f"cache_capacity_factor must be in (0, 1], got {factor!r}")
     return max(1.0, cache_items * factor)
-
-
-def _switch_population(n_per_node: int) -> int:
-    """Effective M/D/1 population at one node of a switched network.
-
-    A switch provides contention-free pairwise paths, so queueing happens
-    at the destination memory module.  With uniform remote traffic the
-    aggregate rate arriving at one node equals the rate one node emits
-    (n_per_node processor streams), i.e. the interference seen by a
-    request equals ``n_per_node`` extra streams -> population n+1.
-    """
-    return n_per_node + 1
-
-
-def smp_hierarchy(
-    n: int,
-    cache_items: float,
-    memory_items: float,
-    latencies: LatencyTable,
-    include_peer_cache: bool = False,
-    cache_capacity_factor: float = 1.0,
-    l2_items: float | None = None,
-) -> MemoryHierarchy:
-    """Hierarchy of a single bus-based SMP (paper Eq. 11 structure).
-
-    Levels: cache -> [optional peer caches] -> shared memory (bus, n
-    sharers) -> disk (I/O bus, n sharers).  ``include_peer_cache`` adds
-    the 15-cycle cache-to-cache level the simulator has but the paper's
-    analytical formula omits; it is off by default for fidelity.
-
-    Thin wrapper over the generic topology fold
-    (:func:`repro.topology.build.build_hierarchy`); the canned tree
-    reproduces the historical level structure exactly.
-    """
-    from repro.topology.build import build_hierarchy
-    from repro.topology.canned import smp_topology
-
-    if n < 1:
-        raise ValueError(f"SMP needs n >= 1 processors, got {n}")
-    if memory_items <= cache_items:
-        raise ValueError("memory must be larger than the cache")
-    topo = smp_topology(n, cache_items, memory_items, latencies, l2_items=l2_items)
-    return build_hierarchy(
-        topo,
-        include_peer_cache=include_peer_cache,
-        cache_capacity_factor=cache_capacity_factor,
-    )
-
-
-def cow_hierarchy(
-    N: int,
-    cache_items: float,
-    memory_items: float,
-    network: NetworkKind,
-    latencies: LatencyTable,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    l2_items: float | None = None,
-) -> MemoryHierarchy:
-    """Hierarchy of a cluster of N uniprocessor workstations.
-
-    Levels: cache -> local memory (contention-free) -> remote memory
-    (cluster network) -> disks (local/remote split).  On a bus network
-    every processor's remote traffic crosses one shared medium
-    (population N); on a switch, contention is only at the destination
-    module (population 2).  ``remote_cached_fraction`` routes that share
-    of remote traffic to the dearer remotely-cached-data cost.
-
-    Thin wrapper over the generic topology fold.
-    """
-    from repro.topology.build import build_hierarchy
-    from repro.topology.canned import cow_topology
-
-    if N < 2:
-        raise ValueError(f"a cluster needs N >= 2 machines, got {N}")
-    if memory_items <= cache_items:
-        raise ValueError("memory must be larger than the cache")
-    topo = cow_topology(N, cache_items, memory_items, network, latencies, l2_items=l2_items)
-    return build_hierarchy(
-        topo,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-    )
-
-
-def clump_hierarchy(
-    n: int,
-    N: int,
-    cache_items: float,
-    memory_items: float,
-    network: NetworkKind,
-    latencies: LatencyTable,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    l2_items: float | None = None,
-) -> MemoryHierarchy:
-    """Hierarchy of a cluster of N SMPs with n processors each.
-
-    Combines the SMP's intra-node levels (shared memory bus, optional
-    peer caches) with the COW's inter-node levels (remote memory over the
-    cluster network, disk split).  Bus networks are shared by all n*N
-    processors; a switch queues only at the destination SMP (population
-    n + 1).
-
-    Thin wrapper over the generic topology fold.
-    """
-    from repro.topology.build import build_hierarchy
-    from repro.topology.canned import clump_topology
-
-    if n < 2:
-        raise ValueError(f"a cluster of SMPs needs n >= 2 per node, got {n}")
-    if N < 2:
-        raise ValueError(f"a cluster needs N >= 2 machines, got {N}")
-    if memory_items <= cache_items:
-        raise ValueError("memory must be larger than the cache")
-    topo = clump_topology(n, N, cache_items, memory_items, network, latencies, l2_items=l2_items)
-    return build_hierarchy(
-        topo,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-    )

@@ -12,15 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
-from repro.core.hierarchy import (
-    MemoryHierarchy,
-    PlatformKind,
-    clump_hierarchy,
-    cow_hierarchy,
-    smp_hierarchy,
-)
+from repro.core.hierarchy import MemoryHierarchy, PlatformKind
 from repro.sim.latencies import CPU_HZ, ITEM_BYTES, LatencyTable, NetworkKind, PAPER_LATENCIES
 from repro.topology.build import build_hierarchy, classify
+from repro.topology.canned import scaled_topology, topology_for_spec
 from repro.topology.ir import ClusterNode, MachineNode, Topology, topology_from_dict
 
 __all__ = ["NetworkTopology", "NetworkSpec", "PlatformSpec"]
@@ -239,80 +234,33 @@ class PlatformSpec:
         remote_cached_fraction: float = 0.0,
         cache_capacity_factor: float = 1.0,
     ) -> MemoryHierarchy:
-        """Build the modeled memory hierarchy for this platform."""
-        if self.topology is not None:
-            return build_hierarchy(
-                self.topology,
-                include_peer_cache=include_peer_cache,
-                remote_cached_fraction=remote_cached_fraction,
-                cache_capacity_factor=cache_capacity_factor,
-            )
-        kind = self.kind
-        if kind is PlatformKind.SMP:
-            return smp_hierarchy(
-                n=self.n,
-                cache_items=self.cache_items,
-                memory_items=self.memory_items,
-                latencies=self.latencies,
-                include_peer_cache=include_peer_cache,
-                cache_capacity_factor=cache_capacity_factor,
-                l2_items=self.l2_items,
-            )
-        assert self.network is not None
-        if kind is PlatformKind.COW:
-            return cow_hierarchy(
-                N=self.N,
-                cache_items=self.cache_items,
-                memory_items=self.memory_items,
-                network=self.network,
-                latencies=self.latencies,
-                remote_cached_fraction=remote_cached_fraction,
-                cache_capacity_factor=cache_capacity_factor,
-                l2_items=self.l2_items,
-            )
-        return clump_hierarchy(
-            n=self.n,
-            N=self.N,
-            cache_items=self.cache_items,
-            memory_items=self.memory_items,
-            network=self.network,
-            latencies=self.latencies,
+        """Build the modeled memory hierarchy: one fold of the spec's tree."""
+        return build_hierarchy(
+            topology_for_spec(self),
             include_peer_cache=include_peer_cache,
             remote_cached_fraction=remote_cached_fraction,
             cache_capacity_factor=cache_capacity_factor,
-            l2_items=self.l2_items,
         )
 
     def scaled(self, size_divisor: int) -> "PlatformSpec":
-        """Return a copy with cache and memory shrunk by ``size_divisor``.
+        """Return a copy with cache, L2 and memory shrunk by ``size_divisor``.
 
         Used to run the paper's configurations against laptop-scale
         application problem sizes while preserving all capacity ratios
-        (DESIGN.md substitution 2).
+        (DESIGN.md substitution 2).  The spec's tree is scaled by
+        :func:`~repro.topology.canned.scaled_topology`, so sizes come out
+        in whole 64-byte items with that rule's floors; a flat spec stays
+        flat (``topology=None``).
         """
-        if size_divisor < 1:
-            raise ValueError("size_divisor must be >= 1")
-        scaled_name = f"{self.name}/{size_divisor}" if size_divisor > 1 else self.name
-        if self.topology is not None:
-            from repro.topology.canned import scaled_topology
-
-            topo = scaled_topology(self.topology, size_divisor)
-            m = topo.machine
-            return replace(
-                self,
-                name=scaled_name,
-                cache_bytes=int(m.cache.capacity_items) * ITEM_BYTES,
-                memory_bytes=int(m.memory.capacity_items) * ITEM_BYTES,
-                l2_bytes=(
-                    int(m.l2.capacity_items) * ITEM_BYTES if m.l2 is not None else None
-                ),
-                topology=topo,
-            )
+        topo = scaled_topology(topology_for_spec(self), size_divisor)
+        m = topo.machine
         return replace(
             self,
-            name=scaled_name,
-            cache_bytes=max(ITEM_BYTES, self.cache_bytes // size_divisor),
-            memory_bytes=max(2 * ITEM_BYTES, self.memory_bytes // size_divisor),
+            name=f"{self.name}/{size_divisor}" if size_divisor > 1 else self.name,
+            cache_bytes=int(m.cache.capacity_items) * ITEM_BYTES,
+            memory_bytes=int(m.memory.capacity_items) * ITEM_BYTES,
+            l2_bytes=int(m.l2.capacity_items) * ITEM_BYTES if m.l2 is not None else None,
+            topology=topo if self.topology is not None else None,
         )
 
     # ------------------------------------------------------------------

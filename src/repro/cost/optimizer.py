@@ -47,8 +47,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.batch import BatchCase
-from repro.core.execution import ExecutionEstimate, evaluate, evaluate_batch
+from repro.core.batch import BatchCase, e_instr_seconds_batch
+from repro.core.execution import ExecutionEstimate, evaluate
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG, PriceCatalog
 from repro.cost.configspace import CandidateSpace, enumerate_configurations
@@ -116,7 +116,7 @@ def _predict_batch(
     specs: Sequence[PlatformSpec], workload: WorkloadParams, options: ModelOptions
 ):
     """E(Instr) seconds for many specs, bit-identical to :func:`_predict`."""
-    return evaluate_batch(
+    return e_instr_seconds_batch(
         [_batch_case(spec, workload, options) for spec in specs],
         workload.locality,
         workload.gamma,

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.execution import evaluate
 from repro.core.platform import PlatformSpec
+from repro.cost.optimizer import ModelOptions, _predict
 from repro.sim.latencies import NetworkKind
 from repro.workloads.params import PAPER_WORKLOADS, PAPER_TPCC, WorkloadParams
 
@@ -86,19 +86,6 @@ class SensitivityResult:
         return "\n".join(lines)
 
 
-def _predict(spec: PlatformSpec, w: WorkloadParams) -> float:
-    return evaluate(
-        spec,
-        w.locality,
-        w.gamma,
-        remote_rate_adjustment=0.124 if spec.N > 1 else 0.0,
-        mode="throttled",
-        on_saturation="inf",
-        sharing_fraction=w.sharing_at(spec.N),
-        sharing_fresh_fraction=w.sharing_fresh_fraction,
-    ).e_instr_seconds
-
-
 def run_sensitivity(
     workloads: Sequence[WorkloadParams] | None = None,
 ) -> list[SensitivityResult]:
@@ -155,7 +142,10 @@ def run_sensitivity(
                 AxisSensitivity(
                     axis=axis_name,
                     values=tuple(label for label, _ in rows),
-                    e_instr=tuple(_predict(spec, w) for _, spec in rows),
+                    e_instr=tuple(
+                        _predict(spec, w, ModelOptions()).e_instr_seconds
+                        for _, spec in rows
+                    ),
                 )
             )
         results.append(SensitivityResult(workload=w, axes=tuple(axes)))

@@ -3,26 +3,34 @@
 The paper's model assumes every processor is identical; this package
 relaxes that.  A :class:`HeteroPlatform` wraps any topology tree (mixed
 machine shapes, per-machine relative CPU speeds), a :class:`WorkShare`
-splits a phase's instructions unevenly across processes, and
-:func:`evaluate_hetero` prices the result through the analytical model:
-per-machine memory hierarchies, the generalized barrier order statistic
-(:func:`repro.core.contention.expected_max_exponential`), and the
-straggler-bound aggregate ``E(Instr) = max_p(w_p c_p) / sum(w)``.
+splits a phase's instructions unevenly across processes, and the model
+prices the result in two steps:
+
+* :func:`process_costs` folds every machine once (one memory hierarchy
+  per machine) and prices each process's barrier-free AMAT -- the only
+  function here that folds a tree;
+* :func:`evaluate_hetero` prices one work share on those costs: the
+  generalized barrier order statistic
+  (:func:`repro.core.contention.expected_max_exponential`) and the
+  straggler-bound aggregate ``E(Instr) = max_p(w_p c_p) / sum(w)``.
 
 Three placement policies ship in :mod:`repro.scheduling.policies` --
 ``round-robin`` (the paper's even split), ``speed`` (CPU-proportional)
 and ``memory-aware`` (equalizes modeled per-process cost, after Silva
-et al., arXiv:1302.5679).  On homogeneous trees every path reduces
-bit-for-bit to :func:`repro.core.execution.evaluate` with
-``mode="open"`` -- the invariant that lets this layer share caches and
-reports with the rest of the library.  See docs/SCHEDULING.md.
+et al., arXiv:1302.5679).  Each is a function of the costs, so placing
+and pricing a platform folds it once however many shares a policy
+tries.  On homogeneous trees every path reduces bit-for-bit to
+:func:`repro.core.execution.evaluate` with ``mode="open"`` -- the
+invariant that lets this layer share caches and reports with the rest
+of the library.  See docs/SCHEDULING.md.
 """
 
 from repro.scheduling.evaluate import (
     HeteroEstimate,
+    ProcessCosts,
     ProcessEstimate,
-    barrier_free_cycles,
     evaluate_hetero,
+    process_costs,
 )
 from repro.scheduling.mix import (
     MixCandidate,
@@ -49,9 +57,10 @@ __all__ = [
     "builtin_hetero_platform",
     "load_hetero_platform_file",
     "WorkShare",
+    "ProcessCosts",
     "ProcessEstimate",
     "HeteroEstimate",
-    "barrier_free_cycles",
+    "process_costs",
     "evaluate_hetero",
     "POLICIES",
     "round_robin",

@@ -18,14 +18,20 @@ its own cost:
 * ``E(Instr) = max_p(w[p] * c[p]) / sum(w)`` -- the straggler's wall
   time per total instruction.
 
+The first two items do not depend on the work share.
+:func:`process_costs` computes them with one fold of the platform;
+:func:`evaluate_hetero` prices a share on those costs, so a policy
+that tries many shares folds the platform once.
+
 On a homogeneous tree with even shares every expression collapses
 bit-for-bit to :func:`repro.core.execution.evaluate` with
 ``mode="open"``: the reduction is property-tested, not approximate
 (see docs/SCHEDULING.md for the expression-shape bookkeeping).
 
-Only ``mode="open"`` is supported: the throttled fixed point folds the
-barrier term inside its bisection, so per-process barrier terms cannot
-be grafted on afterwards without changing the homogeneous answer.
+The model is always the open one, so there is no ``mode`` argument:
+the throttled fixed point folds the barrier term inside its bisection,
+so per-process barrier terms cannot be grafted on afterwards without
+changing the homogeneous answer.
 """
 
 from __future__ import annotations
@@ -34,16 +40,17 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from repro.core.amat import AmatBreakdown, average_memory_access_time
+from repro.core.amat import average_memory_access_time
 from repro.core.contention import generalized_barrier_terms
 from repro.core.locality import StackDistanceModel
 from repro.scheduling.platform import HeteroPlatform
 from repro.scheduling.shares import WorkShare
 
 __all__ = [
+    "ProcessCosts",
     "ProcessEstimate",
     "HeteroEstimate",
-    "barrier_free_cycles",
+    "process_costs",
     "evaluate_hetero",
 ]
 
@@ -133,23 +140,60 @@ class HeteroEstimate:
         return "\n".join(lines)
 
 
-def _leaf_amats(
+@dataclass(frozen=True)
+class ProcessCosts:
+    """The share-independent half of the model: one fold of a platform.
+
+    Per process, in rank order: the hosting machine, its relative speed
+    and its barrier-free AMAT ``T_nb``.  A process's M/D/1 level rates
+    depend on how fast it *issues* references, not on how many
+    instructions it was handed, so no work share changes these numbers;
+    :func:`evaluate_hetero` prices any number of shares on one fold.
+    """
+
+    platform_name: str
+    cpu_hz: float
+    gamma: float
+    machines: tuple[int, ...]  #: leaf index of each process's machine
+    speeds: tuple[float, ...]
+    amat_cycles: tuple[float, ...]  #: barrier-free ``T_nb`` per process
+
+    @property
+    def total_processors(self) -> int:
+        return len(self.speeds)
+
+    @property
+    def cycles_per_instruction(self) -> tuple[float, ...]:
+        """``c~[p] = 1/speed + gamma * T_nb``: the cost memory-aware equalizes."""
+        return tuple(
+            1.0 / s + self.gamma * t for s, t in zip(self.speeds, self.amat_cycles)
+        )
+
+
+def process_costs(
     platform: HeteroPlatform,
     locality: StackDistanceModel,
     gamma: float,
     *,
-    remote_rate_adjustment: float,
-    include_peer_cache: bool,
-    remote_cached_fraction: float,
-    cache_capacity_factor: float,
-    on_saturation: str,
-    sharing_fraction: float,
-    sharing_fresh_fraction: float,
-    contention_boost: float,
-) -> list[AmatBreakdown]:
-    """Barrier-free AMAT per machine, memoized over identical hierarchies."""
+    remote_rate_adjustment: float = 0.0,
+    include_peer_cache: bool = False,
+    remote_cached_fraction: float = 0.0,
+    cache_capacity_factor: float = 1.0,
+    on_saturation: Literal["raise", "inf"] = "inf",
+    sharing_fraction: float = 0.0,
+    sharing_fresh_fraction: float = 1.0,
+    contention_boost: float = 1.0,
+) -> ProcessCosts:
+    """Fold every machine of ``platform`` once and price its AMAT.
+
+    The only place the scheduling layer folds a tree.  Identical
+    machines share one AMAT evaluation; the keyword arguments mirror
+    :func:`repro.core.execution.evaluate` with ``mode="open"``.
+    """
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
     memo: dict = {}
-    out: list[AmatBreakdown] = []
+    per_machine: list[float] = []
     for hierarchy in platform.hierarchies(
         include_peer_cache=include_peer_cache,
         remote_cached_fraction=remote_cached_fraction,
@@ -167,116 +211,41 @@ def _leaf_amats(
                 sharing_fraction=sharing_fraction,
                 sharing_fresh_fraction=sharing_fresh_fraction,
                 contention_boost=contention_boost,
-            )
-        out.append(memo[hierarchy])
-    return out
-
-
-def barrier_free_cycles(
-    platform: HeteroPlatform,
-    locality: StackDistanceModel,
-    gamma: float,
-    *,
-    remote_rate_adjustment: float = 0.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    on_saturation: Literal["raise", "inf"] = "inf",
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
-    contention_boost: float = 1.0,
-) -> tuple[float, ...]:
-    """Per-process ``c~[p] = 1/speed + gamma * T_nb``, in rank order.
-
-    This is the share-independent part of a process's cost -- the
-    quantity the memory-aware policy equalizes (a process's M/D/1 level
-    rates depend on how fast it *issues* references, not on how many
-    instructions it was handed, so shares never feed back into ``c~``).
-    """
-    amats = _leaf_amats(
-        platform,
-        locality,
-        gamma,
-        remote_rate_adjustment=remote_rate_adjustment,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-        on_saturation=on_saturation,
-        sharing_fraction=sharing_fraction,
-        sharing_fresh_fraction=sharing_fresh_fraction,
-        contention_boost=contention_boost,
+            ).total_cycles
+        per_machine.append(memo[hierarchy])
+    machines = platform.machine_of_process
+    return ProcessCosts(
+        platform_name=platform.name,
+        cpu_hz=platform.cpu_hz,
+        gamma=gamma,
+        machines=machines,
+        speeds=platform.speeds,
+        amat_cycles=tuple(per_machine[m] for m in machines),
     )
-    out: list[float] = []
-    for leaf, amat in zip(platform.machines, amats):
-        tilde = 1.0 / leaf.speed + gamma * amat.total_cycles
-        out.extend([tilde] * leaf.processors)
-    return tuple(out)
 
 
-def evaluate_hetero(
-    platform: HeteroPlatform,
-    locality: StackDistanceModel,
-    gamma: float,
-    share: WorkShare | None = None,
-    *,
-    mode: Literal["open"] = "open",
-    remote_rate_adjustment: float = 0.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    on_saturation: Literal["raise", "inf"] = "inf",
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
-    contention_boost: float = 1.0,
-) -> HeteroEstimate:
-    """Predict E(Instr) for a work share on a (possibly mixed) platform.
+def evaluate_hetero(costs: ProcessCosts, share: WorkShare | None = None) -> HeteroEstimate:
+    """Predict E(Instr) for a work share on one folded platform.
 
     With ``share=None`` the paper's even split is used; on a
     homogeneous tree that path is bit-identical to
     ``evaluate(spec, ..., mode="open")``.
     """
-    if mode != "open":
-        raise ValueError(
-            f"heterogeneous evaluation supports mode='open' only, got {mode!r}: the "
-            "throttled/mva fixed points fold the barrier inside their iteration, which "
-            "cannot be split per process without changing the homogeneous answer "
-            "(docs/SCHEDULING.md)"
-        )
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
-    num = platform.total_processors
+    num = costs.total_processors
     if share is None:
         share = WorkShare.even(num, policy="even")
     if share.num_processes != num:
         raise ValueError(
             f"work share has {share.num_processes} weights but platform "
-            f"{platform.name!r} runs {num} processes"
+            f"{costs.platform_name!r} runs {num} processes"
         )
 
-    amats = _leaf_amats(
-        platform,
-        locality,
-        gamma,
-        remote_rate_adjustment=remote_rate_adjustment,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-        on_saturation=on_saturation,
-        sharing_fraction=sharing_fraction,
-        sharing_fresh_fraction=sharing_fresh_fraction,
-        contention_boost=contention_boost,
-    )
-    t_nb: list[float] = []
-    speeds: list[float] = []
-    machine_of: list[int] = []
-    for index, (leaf, amat) in enumerate(zip(platform.machines, amats)):
-        t_nb.extend([amat.total_cycles] * leaf.processors)
-        speeds.extend([leaf.speed] * leaf.processors)
-        machine_of.extend([index] * leaf.processors)
-
+    gamma = costs.gamma
+    speeds = costs.speeds
+    t_nb = costs.amat_cycles
     weights = share.weights
     total_weight = math.fsum(weights)
-    tilde = [1.0 / s + gamma * t for s, t in zip(speeds, t_nb)]
+    tilde = costs.cycles_per_instruction
 
     if all(math.isfinite(c) for c in tilde):
         # Arrival rate of p at the barrier, per unit of total work: the
@@ -296,7 +265,7 @@ def evaluate_hetero(
         amat_total = [t + b / gamma for t, b in zip(t_nb, barrier)]
         cycles_pp = [1.0 / s + gamma * t for s, t in zip(speeds, amat_total)]
         e_cycles = max(w * c for w, c in zip(weights, cycles_pp)) / total_weight
-        e_seconds = e_cycles / platform.cpu_hz
+        e_seconds = e_cycles / costs.cpu_hz
     else:
         barrier = [0.0] * num
         amat_total = list(t_nb)
@@ -307,7 +276,7 @@ def evaluate_hetero(
     processes = tuple(
         ProcessEstimate(
             process=p,
-            machine=machine_of[p],
+            machine=costs.machines[p],
             speed=speeds[p],
             weight=weights[p],
             fraction=weights[p] / total_weight,
@@ -318,12 +287,12 @@ def evaluate_hetero(
         for p in range(num)
     )
     return HeteroEstimate(
-        platform_name=platform.name,
+        platform_name=costs.platform_name,
         policy=share.policy,
         e_instr_cycles=e_cycles,
         e_instr_seconds=e_seconds,
         total_processors=num,
-        cpu_hz=platform.cpu_hz,
+        cpu_hz=costs.cpu_hz,
         gamma=gamma,
         processes=processes,
     )

@@ -22,7 +22,7 @@ from repro.core.locality import StackDistanceModel
 from repro.cost.catalog import DEFAULT_CATALOG, PriceCatalog
 from repro.cost.configspace import CandidateSpace
 from repro.cost.model import hetero_cluster_cost
-from repro.scheduling.evaluate import evaluate_hetero
+from repro.scheduling.evaluate import evaluate_hetero, process_costs
 from repro.scheduling.platform import HeteroPlatform
 from repro.scheduling.policies import resolve_policy
 from repro.sim.latencies import (
@@ -197,20 +197,21 @@ def design_mix(
     """Rank affordable machine mixes by modeled E(Instr) under a policy.
 
     The answer to "which mix of machines should I buy under budget B":
-    every two-variant mix within budget is scheduled by ``policy`` and
-    scored through the heterogeneous model; the ``top`` feasible mixes
-    come back cheapest-first among ties.
+    every two-variant mix within budget is folded once
+    (:func:`~repro.scheduling.evaluate.process_costs`, taking
+    ``model_kwargs``), scheduled by ``policy`` and scored through the
+    heterogeneous model; the ``top`` feasible mixes come back
+    cheapest-first among ties.
     """
     if top < 1:
         raise ValueError("top must be >= 1")
     space = space or CandidateSpace()
     place = resolve_policy(policy)
-    model_kwargs.setdefault("on_saturation", "inf")
     scored: list[MixCandidate] = []
     for candidate in enumerate_mixed_configurations(budget, catalog, space, latencies):
         platform = HeteroPlatform(candidate.name, candidate.topology, cpu_hz=cpu_hz)
-        share = place(platform, locality, gamma, **model_kwargs)
-        estimate = evaluate_hetero(platform, locality, gamma, share, **model_kwargs)
+        costs = process_costs(platform, locality, gamma, **model_kwargs)
+        estimate = evaluate_hetero(costs, place(costs))
         if not estimate.feasible:
             continue
         scored.append(

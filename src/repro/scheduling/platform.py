@@ -119,8 +119,7 @@ class HeteroPlatform:
     @classmethod
     def from_spec(cls, spec) -> "HeteroPlatform":
         """Wrap a homogeneous ``PlatformSpec`` (for reduction tests)."""
-        topology = spec.topology if spec.topology is not None else topology_for_spec(spec)
-        return cls(name=spec.name, topology=topology, cpu_hz=spec.cpu_hz)
+        return cls(name=spec.name, topology=topology_for_spec(spec), cpu_hz=spec.cpu_hz)
 
     def to_dict(self) -> dict:
         return {

@@ -1,6 +1,8 @@
-"""Placement policies: platform (+ workload) -> :class:`WorkShare`.
+"""Placement policies: one folded platform -> :class:`WorkShare`.
 
-Three policies, in increasing order of model awareness:
+A policy is a function of :class:`~repro.scheduling.evaluate.ProcessCosts`
+(the platform folded once for one workload).  Three policies, in
+increasing order of model awareness:
 
 * ``round-robin`` -- the paper's even split; ignores heterogeneity.
 * ``speed`` -- weights proportional to relative CPU speed; right when
@@ -26,8 +28,9 @@ from typing import Callable, Mapping
 from repro.core.locality import StackDistanceModel
 from repro.scheduling.evaluate import (
     HeteroEstimate,
-    barrier_free_cycles,
+    ProcessCosts,
     evaluate_hetero,
+    process_costs,
 )
 from repro.scheduling.platform import HeteroPlatform
 from repro.scheduling.shares import WorkShare
@@ -50,68 +53,51 @@ def _normalized(weights: list[float], policy: str) -> WorkShare:
     return WorkShare(tuple(w / top for w in weights), policy=policy)
 
 
-def round_robin(
-    platform: HeteroPlatform,
-    locality: StackDistanceModel | None = None,
-    gamma: float | None = None,
-    **model_kwargs,
-) -> WorkShare:
+def round_robin(costs: ProcessCosts) -> WorkShare:
     """The paper's even split: every process gets the same slice."""
-    return WorkShare.even(platform.total_processors, policy="round-robin")
+    return WorkShare.even(costs.total_processors, policy="round-robin")
 
 
-def speed_proportional(
-    platform: HeteroPlatform,
-    locality: StackDistanceModel | None = None,
-    gamma: float | None = None,
-    **model_kwargs,
-) -> WorkShare:
+def speed_proportional(costs: ProcessCosts) -> WorkShare:
     """Weights proportional to relative CPU speed, blind to memory."""
-    return _normalized(list(platform.speeds), "speed")
+    return _normalized(list(costs.speeds), "speed")
 
 
-def memory_aware(
-    platform: HeteroPlatform,
-    locality: StackDistanceModel,
-    gamma: float,
-    **model_kwargs,
-) -> WorkShare:
+def memory_aware(costs: ProcessCosts) -> WorkShare:
     """Minimize modeled E(Instr) over work shares, hierarchy-aware.
 
     Candidate starts are the even split, the speed split and the
     equal-arrival split ``w[p] = 1/c~[p]`` (every process reaches the
     barrier at the same expected time); the best is refined by a
     monotone multiplicative descent, one weight per *group* of
-    identical processes, scored through :func:`evaluate_hetero`.  The
-    even and speed splits are among the starts, so memory-aware never
-    loses to round-robin or speed-proportional on any input -- by
-    construction, not by luck.  When the model saturates (infinite
-    ``c~``) relative memory costs carry no signal and the speed split
-    is returned as-is.
+    identical processes, scored through :func:`evaluate_hetero` on the
+    same ``costs``.  The even and speed splits are among the starts, so
+    memory-aware never loses to round-robin or speed-proportional on
+    any input -- by construction, not by luck.  When the model
+    saturates (infinite ``c~``) relative memory costs carry no signal
+    and the speed split is returned as-is.
     """
-    tilde = barrier_free_cycles(platform, locality, gamma, **model_kwargs)
+    tilde = costs.cycles_per_instruction
     if not all(math.isfinite(c) for c in tilde):
-        return WorkShare(speed_proportional(platform).weights, policy="memory-aware")
-    if len(set(zip(tilde, platform.speeds))) == 1:
+        return WorkShare(speed_proportional(costs).weights, policy="memory-aware")
+    if len(set(zip(tilde, costs.speeds))) == 1:
         # Homogeneous in the model's eyes: the even split is the answer
         # (and keeps the bit-identical homogeneous reduction).
-        return WorkShare.even(platform.total_processors, policy="memory-aware")
+        return WorkShare.even(costs.total_processors, policy="memory-aware")
 
     def cost(weights: list[float]) -> float:
-        share = _normalized(weights, "memory-aware")
-        est = evaluate_hetero(platform, locality, gamma, share, **model_kwargs)
-        return est.e_instr_cycles
+        return evaluate_hetero(costs, _normalized(weights, "memory-aware")).e_instr_cycles
 
     starts = [
-        list(round_robin(platform).weights),
-        list(speed_proportional(platform).weights),
+        list(round_robin(costs).weights),
+        list(speed_proportional(costs).weights),
         [1.0 / c for c in tilde],
     ]
     weights, best = min(((w, cost(w)) for w in starts), key=lambda pair: pair[1])
 
     # Processes on identical machines are symmetric: one knob per group.
     groups: dict[tuple[float, float], list[int]] = {}
-    for index, key in enumerate(zip(tilde, platform.speeds)):
+    for index, key in enumerate(zip(tilde, costs.speeds)):
         groups.setdefault(key, []).append(index)
     step = _REFINE_STEP
     while step > _REFINE_STOP and math.isfinite(best):
@@ -129,14 +115,14 @@ def memory_aware(
     return _normalized(weights, "memory-aware")
 
 
-POLICIES: Mapping[str, Callable[..., WorkShare]] = {
+POLICIES: Mapping[str, Callable[[ProcessCosts], WorkShare]] = {
     "round-robin": round_robin,
     "speed": speed_proportional,
     "memory-aware": memory_aware,
 }
 
 
-def resolve_policy(name: str) -> Callable[..., WorkShare]:
+def resolve_policy(name: str) -> Callable[[ProcessCosts], WorkShare]:
     if name not in POLICIES:
         known = ", ".join(sorted(POLICIES))
         raise ValueError(f"unknown scheduling policy {name!r}; known policies: {known}")
@@ -150,10 +136,11 @@ def compare_policies(
     policies: tuple[str, ...] | None = None,
     **model_kwargs,
 ) -> dict[str, HeteroEstimate]:
-    """Evaluate each named policy on one platform/workload pair."""
+    """Evaluate each named policy on one platform/workload pair.
+
+    The platform is folded once (:func:`process_costs`, taking
+    ``model_kwargs``); every policy places and is priced on that fold.
+    """
     names = tuple(POLICIES) if policies is None else policies
-    out: dict[str, HeteroEstimate] = {}
-    for name in names:
-        share = resolve_policy(name)(platform, locality, gamma, **model_kwargs)
-        out[name] = evaluate_hetero(platform, locality, gamma, share, **model_kwargs)
-    return out
+    costs = process_costs(platform, locality, gamma, **model_kwargs)
+    return {name: evaluate_hetero(costs, resolve_policy(name)(costs)) for name in names}

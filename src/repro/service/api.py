@@ -2,7 +2,8 @@
 
 Every service endpoint bottoms out here, and everything here is a plain
 synchronous function over the same model entry points the CLI prints
-from — :func:`repro.core.batch.e_instr_seconds_batch` for predictions,
+from — :func:`repro.core.batch.e_instr_seconds_batch` for predictions
+(with the knobs of :func:`repro.cost.optimizer._batch_case`),
 :class:`repro.cost.search.DesignSearch` for design queries, and the
 experiment runner's simulation path for submissions.  The serving layer
 (:mod:`repro.service.server`) adds queues, deadlines and breakers on
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.amat import zero_contention_amat
-from repro.core.batch import BatchCase, e_instr_seconds_batch
 from repro.core.execution import e_instr_seconds
 from repro.core.platform import PlatformSpec
+from repro.cost.optimizer import ModelOptions, _batch_case, _predict_batch
 from repro.sim.latencies import NetworkKind
 from repro.workloads.params import (
     PAPER_EDGE,
@@ -279,7 +280,8 @@ class QueryAPI:
         """Answer many predict requests in one batched evaluation wave.
 
         Requests sharing a (workload, mode) evaluate as a single
-        :func:`e_instr_seconds_batch` call; per-case independence makes
+        :func:`~repro.cost.optimizer._predict_batch` call, the knobs of
+        ``repro predict``; per-case independence makes
         each answer bit-identical to a batch of one — which is why
         ``predict`` itself routes through here and the server's
         coalescer can't change any answer.
@@ -289,23 +291,8 @@ class QueryAPI:
         for i, req in enumerate(requests):
             groups.setdefault((req.workload, req.mode), []).append(i)
         for (workload, mode), indices in groups.items():
-            cases = [
-                BatchCase(
-                    requests[i].spec,
-                    sharing_fraction=workload.sharing_at(requests[i].spec.N),
-                    sharing_fresh_fraction=workload.sharing_fresh_fraction,
-                    remote_rate_adjustment=(
-                        0.124 if requests[i].spec.N > 1 else 0.0
-                    ),
-                )
-                for i in indices
-            ]
-            seconds = e_instr_seconds_batch(
-                cases,
-                workload.locality,
-                workload.gamma,
-                mode=mode,
-                on_saturation="inf",
+            seconds = _predict_batch(
+                [requests[i].spec for i in indices], workload, ModelOptions(mode=mode)
             )
             for pos, i in enumerate(indices):
                 value = float(seconds[pos])
@@ -327,13 +314,14 @@ class QueryAPI:
         the admissible bound :func:`zero_contention_amat`, always finite
         and never above the true answer.
         """
+        knobs = _batch_case(spec, workload, ModelOptions())
         bound = zero_contention_amat(
             spec.hierarchy(),
             workload.locality,
             workload.gamma,
-            remote_rate_adjustment=0.124 if spec.N > 1 else 0.0,
-            sharing_fraction=workload.sharing_at(spec.N),
-            sharing_fresh_fraction=workload.sharing_fresh_fraction,
+            remote_rate_adjustment=knobs.remote_rate_adjustment,
+            sharing_fraction=knobs.sharing_fraction,
+            sharing_fresh_fraction=knobs.sharing_fresh_fraction,
         )
         return PredictAnswer(
             workload=workload.name,

@@ -17,10 +17,10 @@ source of truth for that structure:
   shapes plus the two-level CLUMP-of-SMPs scenario and the canned
   *mixed* (heterogeneous) trees, and the CLI-facing built-in platform
   registry.
-* :mod:`repro.topology.build` -- the generic fold from a topology tree
-  to the analytical :class:`~repro.core.hierarchy.MemoryHierarchy`
-  (replaces the three bespoke constructors), the per-leaf heterogeneous
-  fold (:func:`leaf_hierarchies`) and the Table-1 classification.
+* :mod:`repro.topology.build` -- the one fold from a topology tree to
+  the analytical :class:`~repro.core.hierarchy.MemoryHierarchy`, the
+  per-leaf heterogeneous fold (:func:`leaf_hierarchies`) and the
+  Table-1 classification.
 * :mod:`repro.topology.io` -- JSON/YAML platform files for the CLI.
 
 Every layer that used to switch on ``PlatformKind`` -- the hierarchy
@@ -33,7 +33,6 @@ from repro.topology.build import (
     build_hierarchy,
     classify,
     leaf_hierarchies,
-    leaf_hierarchy,
 )
 from repro.topology.canned import (
     BUILTIN_MIXED_TOPOLOGIES,
@@ -81,7 +80,6 @@ __all__ = [
     "topology_from_dict",
     "build_hierarchy",
     "classify",
-    "leaf_hierarchy",
     "leaf_hierarchies",
     "smp_topology",
     "cow_topology",

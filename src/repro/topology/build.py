@@ -1,11 +1,11 @@
 """Generic fold: topology tree -> analytical :class:`MemoryHierarchy`.
 
-One walk replaces the three bespoke constructors of
-:mod:`repro.core.hierarchy` (which now delegate here).  The fold
-reproduces their output *exactly* for the paper's depth-0/1 shapes --
-level names, boundaries, populations and rate fractions -- so every
-pre-refactor analytical result is bit-identical, and generalizes to
-arbitrary depth:
+This walk is the one hierarchy builder:
+:meth:`repro.core.platform.PlatformSpec.hierarchy` folds the spec's
+tree (:func:`repro.topology.canned.topology_for_spec`), and the
+scheduling layer folds each leaf.  For the paper's depth-0/1 shapes it
+gives the level names, boundaries, populations and rate fractions of
+Eq. 7/11, and it generalizes to arbitrary depth:
 
 * one REMOTE_MEMORY level per interconnect, carrying that level's
   uncontended cost and the share of remote traffic whose lowest common
@@ -43,7 +43,7 @@ from repro.topology.ir import (
     Topology,
 )
 
-__all__ = ["classify", "build_hierarchy", "leaf_hierarchy", "leaf_hierarchies"]
+__all__ = ["classify", "build_hierarchy", "leaf_hierarchies"]
 
 
 def classify(topology: Topology) -> PlatformKind:
@@ -67,8 +67,9 @@ def _level_population(contention: Contention, procs_below: int, procs_per_child:
     A bus is one medium shared by every processor underneath the level;
     a switch provides contention-free pairwise paths, so queueing
     happens at the destination subtree -- with uniform traffic the
-    interference equals one subtree's emission rate, i.e. population
-    ``procs_per_child + 1`` (see ``_switch_population``).
+    aggregate rate arriving at one subtree equals the rate one subtree
+    emits, so a request sees ``procs_per_child`` extra streams, i.e.
+    population ``procs_per_child + 1``.
     """
     if contention is Contention.BUS:
         return procs_below
@@ -337,25 +338,3 @@ def leaf_hierarchies(
         )
         for leaf, path in _leaf_paths(topology)
     )
-
-
-def leaf_hierarchy(
-    topology: Topology,
-    leaf_index: int,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-) -> MemoryHierarchy:
-    """The hierarchy seen by machine ``leaf_index`` (left-to-right order)."""
-    hierarchies = leaf_hierarchies(
-        topology,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-    )
-    if not (0 <= leaf_index < len(hierarchies)):
-        raise ValueError(
-            f"leaf index {leaf_index} out of range for a tree of "
-            f"{len(hierarchies)} machine(s)"
-        )
-    return hierarchies[leaf_index]

@@ -188,7 +188,7 @@ def clump_of_smps_topology(
 
 
 def topology_for_spec(spec) -> Topology:
-    """The canned tree equivalent to a legacy (n, N, network) spec."""
+    """The tree a spec folds: its own, or the canned tree of a flat spec."""
     if spec.topology is not None:
         return spec.topology
     if spec.N == 1:
@@ -208,8 +208,13 @@ def topology_for_spec(spec) -> Topology:
 
 
 def scaled_topology(topology: Topology, size_divisor: int) -> Topology:
-    """Shrink every capacity by ``size_divisor`` (same floors as
-    :meth:`~repro.core.platform.PlatformSpec.scaled`)."""
+    """Shrink every capacity by ``size_divisor``, in whole items.
+
+    The rule behind :meth:`~repro.core.platform.PlatformSpec.scaled`:
+    a cache keeps at least one item, memory at least ``max(2, cache +
+    1)`` items, and an L2 that no longer sits strictly between the two
+    is dropped.
+    """
     if size_divisor < 1:
         raise ValueError("size_divisor must be >= 1")
     if isinstance(topology, ClusterNode):

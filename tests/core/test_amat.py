@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 
 from repro.core.amat import average_memory_access_time
 from repro.core.contention import QueueSaturationError, barrier_term, mg1_response_time
-from repro.core.hierarchy import smp_hierarchy, cow_hierarchy
 from repro.core.locality import StackDistanceModel
-from repro.sim.latencies import NetworkKind, PAPER_LATENCIES
+from repro.core.platform import PlatformSpec
+from repro.sim.latencies import ITEM_BYTES, NetworkKind
+from repro.topology.build import build_hierarchy
+from repro.topology.canned import smp_topology
 
 
 def _smp(n=1, cache=64, memory=4096):
-    return smp_hierarchy(n=n, cache_items=cache, memory_items=memory, latencies=PAPER_LATENCIES)
+    # n = 1 is the uniprocessor baseline, which is not a PlatformSpec
+    # (a 1x1 shape is rejected), so fold the canned tree directly.
+    return build_hierarchy(smp_topology(n, cache, memory))
 
 
 def _cow(N=4, net=NetworkKind.ETHERNET_100, cache=64, memory=4096):
-    return cow_hierarchy(
-        N=N, cache_items=cache, memory_items=memory, network=net, latencies=PAPER_LATENCIES
-    )
+    return PlatformSpec(
+        "cow", n=1, N=N, cache_bytes=cache * ITEM_BYTES,
+        memory_bytes=memory * ITEM_BYTES, network=net,
+    ).hierarchy()
 
 
 LOC = StackDistanceModel(alpha=2.5, beta=5.0)

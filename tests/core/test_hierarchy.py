@@ -1,4 +1,4 @@
-"""Tests for the memory-hierarchy abstraction and platform builders."""
+"""Tests for the memory-hierarchy abstraction and the platform folds."""
 
 import pytest
 
@@ -8,11 +8,19 @@ from repro.core.hierarchy import (
     MemoryLevel,
     PlatformKind,
     additional_levels,
-    clump_hierarchy,
-    cow_hierarchy,
-    smp_hierarchy,
 )
-from repro.sim.latencies import NetworkKind, PAPER_LATENCIES
+from repro.core.platform import PlatformSpec
+from repro.sim.latencies import ITEM_BYTES, NetworkKind
+from repro.topology.build import build_hierarchy
+from repro.topology.canned import smp_topology
+
+
+def _spec(n, N, cache_items=64, memory_items=1024, network=None):
+    """A flat spec whose capacities are given in 64-byte items."""
+    return PlatformSpec(
+        "h", n=n, N=N, cache_bytes=cache_items * ITEM_BYTES,
+        memory_bytes=memory_items * ITEM_BYTES, network=network,
+    )
 
 
 class TestTable1:
@@ -37,7 +45,7 @@ class TestMemoryLevel:
 
 class TestSmpHierarchy:
     def test_structure(self):
-        h = smp_hierarchy(n=2, cache_items=64, memory_items=1024, latencies=PAPER_LATENCIES)
+        h = _spec(n=2, N=1).hierarchy()
         assert h.platform is PlatformKind.SMP
         assert h.length == 3  # cache, memory, disk
         assert h.base_cycles == 1
@@ -49,10 +57,7 @@ class TestSmpHierarchy:
         assert h.barrier_population == 2 and h.total_processes == 2
 
     def test_peer_cache_level(self):
-        h = smp_hierarchy(
-            n=4, cache_items=64, memory_items=1024,
-            latencies=PAPER_LATENCIES, include_peer_cache=True,
-        )
+        h = _spec(n=4, N=1).hierarchy(include_peer_cache=True)
         assert h.length == 4
         peer = h.levels[0]
         assert peer.kind is LevelKind.PEER_CACHE and peer.tau_cycles == 15
@@ -60,36 +65,29 @@ class TestSmpHierarchy:
         assert h.levels[1].boundary_items == 4 * 64
 
     def test_peer_cache_skipped_for_uniprocessor(self):
-        h = smp_hierarchy(
-            n=1, cache_items=64, memory_items=1024,
-            latencies=PAPER_LATENCIES, include_peer_cache=True,
-        )
+        # A 1x1 shape is not a PlatformSpec: fold the uniprocessor tree.
+        h = build_hierarchy(smp_topology(1, 64, 1024), include_peer_cache=True)
         assert all(lv.kind is not LevelKind.PEER_CACHE for lv in h.levels)
 
     def test_cache_capacity_factor(self):
-        h = smp_hierarchy(
-            n=2, cache_items=64, memory_items=1024,
-            latencies=PAPER_LATENCIES, cache_capacity_factor=0.5,
-        )
+        h = _spec(n=2, N=1).hierarchy(cache_capacity_factor=0.5)
         assert h.levels[0].boundary_items == 32
 
     def test_cache_capacity_factor_validation(self):
+        spec = _spec(n=2, N=1)
         with pytest.raises(ValueError):
-            smp_hierarchy(2, 64, 1024, PAPER_LATENCIES, cache_capacity_factor=0.0)
+            spec.hierarchy(cache_capacity_factor=0.0)
         with pytest.raises(ValueError):
-            smp_hierarchy(2, 64, 1024, PAPER_LATENCIES, cache_capacity_factor=1.5)
+            spec.hierarchy(cache_capacity_factor=1.5)
 
     def test_memory_must_exceed_cache(self):
-        with pytest.raises(ValueError):
-            smp_hierarchy(2, 64, 64, PAPER_LATENCIES)
+        with pytest.raises(ValueError, match="larger than the cache"):
+            _spec(n=2, N=1, cache_items=64, memory_items=64)
 
 
 class TestCowHierarchy:
     def test_structure(self):
-        h = cow_hierarchy(
-            N=4, cache_items=64, memory_items=1024,
-            network=NetworkKind.ETHERNET_100, latencies=PAPER_LATENCIES,
-        )
+        h = _spec(n=1, N=4, network=NetworkKind.ETHERNET_100).hierarchy()
         assert h.platform is PlatformKind.COW
         kinds = [lv.kind for lv in h.levels]
         assert kinds == [
@@ -107,19 +105,14 @@ class TestCowHierarchy:
         assert h.barrier_population == 4
 
     def test_switch_population(self):
-        h = cow_hierarchy(
-            N=8, cache_items=64, memory_items=1024,
-            network=NetworkKind.ATM_155, latencies=PAPER_LATENCIES,
-        )
+        h = _spec(n=1, N=8, network=NetworkKind.ATM_155).hierarchy()
         remote = h.levels[1]
         assert remote.tau_cycles == 3275
         assert remote.population == 2  # queueing at the destination only
 
     def test_remote_cached_split(self):
-        h = cow_hierarchy(
-            N=4, cache_items=64, memory_items=1024,
-            network=NetworkKind.ETHERNET_10, latencies=PAPER_LATENCIES,
-            remote_cached_fraction=0.3,
+        h = _spec(n=1, N=4, network=NetworkKind.ETHERNET_10).hierarchy(
+            remote_cached_fraction=0.3
         )
         remotes = [lv for lv in h.levels if lv.kind is LevelKind.REMOTE_MEMORY]
         assert len(remotes) == 2
@@ -127,17 +120,10 @@ class TestCowHierarchy:
         assert remotes[1].rate_fraction == pytest.approx(0.3)
         assert remotes[1].tau_cycles == 90150
 
-    def test_requires_two_machines(self):
-        with pytest.raises(ValueError):
-            cow_hierarchy(1, 64, 1024, NetworkKind.ATM_155, PAPER_LATENCIES)
-
 
 class TestClumpHierarchy:
     def test_structure(self):
-        h = clump_hierarchy(
-            n=2, N=2, cache_items=64, memory_items=1024,
-            network=NetworkKind.ETHERNET_10, latencies=PAPER_LATENCIES,
-        )
+        h = _spec(n=2, N=2, network=NetworkKind.ETHERNET_10).hierarchy()
         assert h.platform is PlatformKind.CLUMP
         assert h.total_processes == 4 and h.barrier_population == 4
         mem = h.levels[0]
@@ -147,17 +133,10 @@ class TestClumpHierarchy:
         assert remote.population == 4  # bus shared by all n*N processors
 
     def test_switch_population_is_node_plus_one(self):
-        h = clump_hierarchy(
-            n=4, N=2, cache_items=64, memory_items=1024,
-            network=NetworkKind.ATM_155, latencies=PAPER_LATENCIES,
-        )
+        h = _spec(n=4, N=2, network=NetworkKind.ATM_155).hierarchy()
         remote = [lv for lv in h.levels if lv.kind is LevelKind.REMOTE_MEMORY][0]
         assert remote.tau_cycles == 3278
         assert remote.population == 5
-
-    def test_requires_smp_nodes(self):
-        with pytest.raises(ValueError):
-            clump_hierarchy(1, 2, 64, 1024, NetworkKind.ATM_155, PAPER_LATENCIES)
 
 
 class TestMemoryHierarchy:

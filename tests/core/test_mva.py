@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hierarchy import cow_hierarchy, smp_hierarchy
 from repro.core.locality import StackDistanceModel
 from repro.core.mva import MvaCenter, mva_smp_amat, solve_mva
-from repro.sim.latencies import NetworkKind, PAPER_LATENCIES
+from repro.core.platform import PlatformSpec
+from repro.sim.latencies import ITEM_BYTES, NetworkKind
+from repro.topology.build import build_hierarchy
+from repro.topology.canned import smp_topology
 
 LOC = StackDistanceModel(alpha=2.5, beta=5.0)
 
@@ -77,7 +79,9 @@ class TestSolver:
 
 class TestSmpAmat:
     def _h(self, n=2):
-        return smp_hierarchy(n=n, cache_items=64, memory_items=4096, latencies=PAPER_LATENCIES)
+        # n = 1 is the uniprocessor baseline, which is not a PlatformSpec
+        # (a 1x1 shape is rejected), so fold the canned tree directly.
+        return build_hierarchy(smp_topology(n, 64, 4096))
 
     def test_single_processor_matches_open_model(self):
         """At n = 1 both treatments are contention-free and equal."""
@@ -122,10 +126,10 @@ class TestSmpAmat:
         assert t >= free - 1e-9
 
     def test_rejects_clusters(self):
-        h = cow_hierarchy(
-            N=4, cache_items=64, memory_items=4096,
-            network=NetworkKind.ATM_155, latencies=PAPER_LATENCIES,
-        )
+        h = PlatformSpec(
+            "cow", n=1, N=4, cache_bytes=64 * ITEM_BYTES,
+            memory_bytes=4096 * ITEM_BYTES, network=NetworkKind.ATM_155,
+        ).hierarchy()
         with pytest.raises(ValueError, match="machine-local"):
             mva_smp_amat(h, LOC, gamma=0.3)
 

@@ -92,9 +92,37 @@ class TestScaling:
             _spec().scaled(0)
 
     def test_scaled_preserves_ratio(self):
-        s = _spec(cache_bytes=512 * KB, memory_bytes=128 * MB)
-        t = s.scaled(16)
-        assert s.memory_bytes / s.cache_bytes == t.memory_bytes / t.cache_bytes
+        for s in (
+            _spec(cache_bytes=512 * KB, memory_bytes=128 * MB),
+            _spec(cache_bytes=256 * KB, memory_bytes=64 * MB, l2_bytes=1 * MB),
+        ):
+            t = s.scaled(16)
+            assert s.memory_bytes / s.cache_bytes == t.memory_bytes / t.cache_bytes
+            if s.l2_bytes is not None:
+                assert s.l2_bytes / s.cache_bytes == t.l2_bytes / t.cache_bytes
+
+    @pytest.mark.parametrize("divisor", [1, 8, 64, 512])
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            _spec(cache_bytes=256 * KB, memory_bytes=64 * MB, l2_bytes=1 * MB),
+            _spec(
+                n=1, N=4, cache_bytes=512 * KB, memory_bytes=32 * MB,
+                network=NetworkKind.ATM_155, l2_bytes=2 * MB,
+            ),
+        ],
+        ids=["smp-l2", "cow-l2"],
+    )
+    def test_flat_spec_scales_like_its_tree_twin(self, flat, divisor):
+        """One scaling rule: a flat spec and its from_topology twin agree."""
+        from repro.topology.canned import topology_for_spec
+
+        twin = PlatformSpec.from_topology(flat.name, topology_for_spec(flat))
+        a, b = flat.scaled(divisor), twin.scaled(divisor)
+        assert (a.cache_bytes, a.memory_bytes, a.l2_bytes) == (
+            b.cache_bytes, b.memory_bytes, b.l2_bytes
+        )
+        assert a.topology is None
 
 
 class TestNetworkSpec:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.amat import zero_contention_amat
 from repro.core.batch import BatchCase, e_instr_lower_bounds, e_instr_seconds_batch
-from repro.core.execution import evaluate, evaluate_batch
+from repro.core.execution import evaluate
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 from repro.sim.latencies import NetworkKind
@@ -373,20 +373,3 @@ def test_optimizer_accepts_workload_mixture() -> None:
     outcome = DesignSearch(method="pareto").search(mixed, budget=12_000.0)
     assert outcome.best.spec == exhaustive.best.spec
     assert outcome.best.e_instr_seconds == exhaustive.best.e_instr_seconds
-
-
-def test_evaluate_batch_wrapper_round_trip() -> None:
-    loc = StackDistanceModel(alpha=1.7, beta=400.0)
-    specs = [
-        PlatformSpec("w1", n=4, N=1, cache_bytes=256 * KB, memory_bytes=64 * MB),
-        PlatformSpec(
-            "w2", n=2, N=4, cache_bytes=512 * KB, memory_bytes=128 * MB,
-            network=NetworkKind.ATM_155,
-        ),
-    ]
-    got = evaluate_batch(specs, loc, 0.25, mode="throttled", on_saturation="inf")
-    for spec, have in zip(specs, got):
-        want = evaluate(
-            spec, loc, 0.25, mode="throttled", on_saturation="inf"
-        ).e_instr_seconds
-        assert want == have

@@ -21,9 +21,9 @@ from repro.workloads.params import PAPER_LU
 from repro.scheduling import (
     HeteroPlatform,
     WorkShare,
-    barrier_free_cycles,
     builtin_hetero_platform,
     evaluate_hetero,
+    process_costs,
 )
 from repro.sim.latencies import NetworkKind
 
@@ -63,8 +63,10 @@ class TestHomogeneousBitIdentity:
             remote_rate_adjustment=adj,
         )
         hetero = evaluate_hetero(
-            HeteroPlatform.from_spec(spec), loc, gamma,
-            remote_rate_adjustment=adj,
+            process_costs(
+                HeteroPlatform.from_spec(spec), loc, gamma,
+                remote_rate_adjustment=adj,
+            )
         )
         # Bitwise, not approx: both inf, or the identical float.
         assert hetero.e_instr_seconds == reference.e_instr_seconds
@@ -82,8 +84,10 @@ class TestHomogeneousBitIdentity:
             remote_rate_adjustment=0.124,
         )
         hetero = evaluate_hetero(
-            HeteroPlatform.from_spec(spec), loc, gamma,
-            remote_rate_adjustment=0.124,
+            process_costs(
+                HeteroPlatform.from_spec(spec), loc, gamma,
+                remote_rate_adjustment=0.124,
+            )
         )
         assert hetero.e_instr_seconds == reference.e_instr_seconds
 
@@ -92,10 +96,11 @@ class TestHomogeneousBitIdentity:
             name="cow", n=1, N=4, cache_bytes=256 * KB,
             memory_bytes=64 * MB, network=NetworkKind.ETHERNET_100,
         )
-        platform = HeteroPlatform.from_spec(spec)
-        loc = StackDistanceModel(alpha=1.5, beta=50.0)
-        a = evaluate_hetero(platform, loc, 0.3)
-        b = evaluate_hetero(platform, loc, 0.3, WorkShare.even(4))
+        costs = process_costs(
+            HeteroPlatform.from_spec(spec), StackDistanceModel(alpha=1.5, beta=50.0), 0.3
+        )
+        a = evaluate_hetero(costs)
+        b = evaluate_hetero(costs, WorkShare.even(4))
         assert a.e_instr_seconds == b.e_instr_seconds
 
 
@@ -105,18 +110,19 @@ class TestHeterogeneous:
         return builtin_hetero_platform("mixed-cow")
 
     def test_uneven_share_changes_the_answer(self, cow):
-        loc, gamma = PAPER_LU.locality, PAPER_LU.gamma
-        even = evaluate_hetero(cow, loc, gamma, remote_rate_adjustment=0.124)
-        skew = evaluate_hetero(
-            cow, loc, gamma, WorkShare((0.1, 0.1, 1.0, 1.0)),
-            remote_rate_adjustment=0.124,
+        costs = process_costs(
+            cow, PAPER_LU.locality, PAPER_LU.gamma, remote_rate_adjustment=0.124
         )
+        even = evaluate_hetero(costs)
+        skew = evaluate_hetero(costs, WorkShare((0.1, 0.1, 1.0, 1.0)))
         assert even.feasible and skew.feasible
         assert even.e_instr_seconds != skew.e_instr_seconds
 
     def test_barrier_free_cycles_share_independent_and_per_machine(self, cow):
         loc, gamma = PAPER_LU.locality, PAPER_LU.gamma
-        tilde = barrier_free_cycles(cow, loc, gamma, remote_rate_adjustment=0.124)
+        tilde = process_costs(
+            cow, loc, gamma, remote_rate_adjustment=0.124
+        ).cycles_per_instruction
         assert len(tilde) == cow.total_processors
         # mixed-cow: two fast-small machines then two slow-large ones.
         assert tilde[0] == tilde[1] and tilde[2] == tilde[3]
@@ -124,7 +130,9 @@ class TestHeterogeneous:
 
     def test_straggler_sets_the_estimate(self, cow):
         loc, gamma = PAPER_LU.locality, PAPER_LU.gamma
-        est = evaluate_hetero(cow, loc, gamma, remote_rate_adjustment=0.124)
+        est = evaluate_hetero(
+            process_costs(cow, loc, gamma, remote_rate_adjustment=0.124)
+        )
         worst = max(
             p.weight * p.cycles_per_instruction for p in est.processes
         )
@@ -133,7 +141,9 @@ class TestHeterogeneous:
 
     def test_process_metadata(self, cow):
         loc, gamma = PAPER_LU.locality, PAPER_LU.gamma
-        est = evaluate_hetero(cow, loc, gamma, remote_rate_adjustment=0.124)
+        est = evaluate_hetero(
+            process_costs(cow, loc, gamma, remote_rate_adjustment=0.124)
+        )
         assert [p.machine for p in est.processes] == [0, 1, 2, 3]
         assert [p.speed for p in est.processes] == [2.0, 2.0, 1.0, 1.0]
         assert est.bottleneck in est.processes
@@ -143,26 +153,22 @@ class TestHeterogeneous:
     def test_saturation_reports_inf_not_raise(self, cow):
         # A hot workload on the tiny mixed tree saturates in open mode.
         loc = StackDistanceModel(alpha=1.2, beta=5e4)
-        est = evaluate_hetero(cow, loc, 0.8, remote_rate_adjustment=0.124)
+        est = evaluate_hetero(
+            process_costs(cow, loc, 0.8, remote_rate_adjustment=0.124)
+        )
         assert not est.feasible
         assert est.e_instr_seconds == math.inf
 
 
 class TestErrors:
-    def test_rejects_non_open_mode(self):
-        cow = builtin_hetero_platform("mixed-cow")
-        loc = StackDistanceModel(alpha=1.5, beta=50.0)
-        with pytest.raises(ValueError, match="open"):
-            evaluate_hetero(cow, loc, 0.3, mode="throttled")
-
     def test_rejects_share_of_wrong_size(self):
         cow = builtin_hetero_platform("mixed-cow")
         loc = StackDistanceModel(alpha=1.5, beta=50.0)
         with pytest.raises(ValueError, match="4 processes"):
-            evaluate_hetero(cow, loc, 0.3, WorkShare((1.0, 1.0)))
+            evaluate_hetero(process_costs(cow, loc, 0.3), WorkShare((1.0, 1.0)))
 
     def test_rejects_bad_gamma(self):
         cow = builtin_hetero_platform("mixed-cow")
         loc = StackDistanceModel(alpha=1.5, beta=50.0)
         with pytest.raises(ValueError, match="gamma"):
-            evaluate_hetero(cow, loc, 1.5)
+            process_costs(cow, loc, 1.5)

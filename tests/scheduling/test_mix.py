@@ -116,6 +116,17 @@ class TestDesignMix:
         payload = json.dumps([c.as_dict() for c in top])
         assert "memory-aware" in payload
 
+    def test_folds_each_scored_mix_once(self, folded):
+        design_mix(
+            PAPER_LU.locality, PAPER_LU.gamma, 12_000.0, space=SMALL_SPACE,
+            top=3, remote_rate_adjustment=0.124,
+        )
+        scored = [
+            c.topology
+            for c in enumerate_mixed_configurations(12_000.0, space=SMALL_SPACE)
+        ]
+        assert scored and folded == scored
+
     def test_top_must_be_positive(self):
         with pytest.raises(ValueError, match="top"):
             design_mix(PAPER_LU.locality, PAPER_LU.gamma, 1000.0, top=0)

@@ -10,6 +10,7 @@ from repro.scheduling import (
     builtin_hetero_platform,
     compare_policies,
     memory_aware,
+    process_costs,
     resolve_policy,
     round_robin,
     speed_proportional,
@@ -90,21 +91,25 @@ class TestHomogeneousCollapse:
 
     def test_every_policy_returns_exactly_even(self, platform):
         lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
+        costs = process_costs(
+            platform, lu.locality, lu.gamma, remote_rate_adjustment=0.124
+        )
         for name, place in POLICIES.items():
-            share = place(
-                platform, lu.locality, lu.gamma, remote_rate_adjustment=0.124
-            )
+            share = place(costs)
             assert share.weights == (1.0, 1.0, 1.0, 1.0), name
 
 
 class TestShapes:
     def test_round_robin_ignores_workload(self):
         platform = builtin_hetero_platform("mixed-cow")
-        assert round_robin(platform).weights == (1.0,) * 4
+        lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
+        costs = process_costs(platform, lu.locality, lu.gamma)
+        assert round_robin(costs).weights == (1.0,) * 4
 
     def test_speed_proportional_normalizes_by_max(self):
         platform = builtin_hetero_platform("mixed-cow")
-        share = speed_proportional(platform)
+        lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
+        share = speed_proportional(process_costs(platform, lu.locality, lu.gamma))
         assert max(share.weights) == 1.0
         assert share.weights == (1.0, 1.0, 0.5, 0.5)
 
@@ -112,7 +117,7 @@ class TestShapes:
         platform = builtin_hetero_platform("mixed-cow")
         lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
         share = memory_aware(
-            platform, lu.locality, lu.gamma, remote_rate_adjustment=0.124
+            process_costs(platform, lu.locality, lu.gamma, remote_rate_adjustment=0.124)
         )
         # Symmetric processes get identical weights.
         assert share.weights[0] == share.weights[1]
@@ -123,10 +128,26 @@ class TestShapes:
         from repro.core.locality import StackDistanceModel
 
         platform = builtin_hetero_platform("mixed-cow")
-        loc = StackDistanceModel(alpha=1.2, beta=5e4)
-        share = memory_aware(platform, loc, 0.8, remote_rate_adjustment=0.124)
-        assert share.weights == speed_proportional(platform).weights
+        costs = process_costs(
+            platform, StackDistanceModel(alpha=1.2, beta=5e4), 0.8,
+            remote_rate_adjustment=0.124,
+        )
+        share = memory_aware(costs)
+        assert share.weights == speed_proportional(costs).weights
         assert share.policy == "memory-aware"
+
+
+class TestOneFoldPerPlacement:
+    def test_compare_policies_folds_the_platform_once(self, folded):
+        """Every policy places and is priced on one fold, however many
+        shares the memory-aware descent tries."""
+        platform = builtin_hetero_platform("mixed-cow")
+        lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
+        estimates = compare_policies(
+            platform, lu.locality, lu.gamma, remote_rate_adjustment=0.124,
+        )
+        assert set(estimates) == set(POLICIES)
+        assert folded == [platform.topology]
 
 
 class TestResolution:
