@@ -43,39 +43,20 @@ from typing import Sequence
 from repro.obs.log import get_logger, set_level
 from repro.obs.profile import CAUSES
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
+from repro.core.execution import MODES
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG
 from repro.cost.configspace import CandidateSpace
 from repro.cost.optimizer import ModelOptions, _batch_case, _predict, optimize_upgrade
 from repro.cost.recommend import recommend
 from repro.cost.search import METHODS
-from repro.sim.latencies import NetworkKind
-from repro.workloads.params import (
-    PAPER_EDGE,
-    PAPER_FFT,
-    PAPER_LU,
-    PAPER_RADIX,
-    PAPER_TPCC,
-    WorkloadParams,
-)
+from repro.sim.latencies import NAMED_NETWORKS
+from repro.workloads.params import NAMED_WORKLOADS, WorkloadParams
 
 __all__ = ["main", "build_parser"]
 
 KB, MB = 1024, 1024 * 1024
-
-_WORKLOADS = {
-    "FFT": PAPER_FFT,
-    "LU": PAPER_LU,
-    "Radix": PAPER_RADIX,
-    "EDGE": PAPER_EDGE,
-    "TPC-C": PAPER_TPCC,
-}
-
-_NETWORKS = {
-    "ethernet10": NetworkKind.ETHERNET_10,
-    "ethernet100": NetworkKind.ETHERNET_100,
-    "atm": NetworkKind.ATM_155,
-}
 
 
 # -- argparse value validators -----------------------------------------
@@ -243,12 +224,12 @@ def _registered_workloads(args: argparse.Namespace) -> dict:
 
 def _workload_from(args: argparse.Namespace) -> WorkloadParams:
     if args.workload:
-        if args.workload in _WORKLOADS:
-            return _WORKLOADS[args.workload]
+        if args.workload in NAMED_WORKLOADS:
+            return NAMED_WORKLOADS[args.workload]
         registered = _registered_workloads(args)
         if args.workload in registered:
             return registered[args.workload].params
-        known = ", ".join([*_WORKLOADS, *sorted(registered)])
+        known = ", ".join([*NAMED_WORKLOADS, *sorted(registered)])
         raise SystemExit(f"unknown workload {args.workload!r}; known: {known}")
     if args.alpha is None or args.beta is None or args.gamma is None:
         raise SystemExit("provide --workload NAME or all of --alpha/--beta/--gamma")
@@ -301,7 +282,7 @@ def _add_workload_dir_arg(p: argparse.ArgumentParser) -> None:
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workload",
-        help="a Table 2 name (" + ", ".join(_WORKLOADS) + ") or an "
+        help="a Table 2 name (" + ", ".join(NAMED_WORKLOADS) + ") or an "
         "ingested workload from --workload-dir",
     )
     p.add_argument("--alpha", type=_positive_float, help="locality tail exponent (> 1)")
@@ -326,7 +307,7 @@ def _add_platform_args(p: argparse.ArgumentParser) -> None:
         "--memory-mb", type=_positive_int, default=64, help="per-machine memory (MB)"
     )
     p.add_argument(
-        "--network", choices=sorted(_NETWORKS), default="ethernet100",
+        "--network", choices=sorted(NAMED_NETWORKS), default="ethernet100",
         help="cluster network (ignored for a single machine)",
     )
     p.add_argument(
@@ -587,7 +568,7 @@ def _platform_from(args: argparse.Namespace, name: str = "platform") -> Platform
         N=args.machines,
         cache_bytes=args.cache_kb * KB,
         memory_bytes=args.memory_mb * MB,
-        network=_NETWORKS[args.network] if args.machines > 1 else None,
+        network=NAMED_NETWORKS[args.network] if args.machines > 1 else None,
         l2_bytes=args.l2_kb * KB if getattr(args, "l2_kb", None) else None,
     )
 
@@ -669,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     _add_platform_args(p)
     p.add_argument(
-        "--mode", choices=("open", "throttled", "mva"), default="throttled",
+        "--mode", choices=MODES, default="throttled",
         help="contention treatment (open = the paper's formula, mva = exact "
         "closed-network MVA on SMPs)",
     )
@@ -986,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative request deadline (server default when omitted)",
     )
     p.add_argument(
-        "--mode", choices=("open", "throttled", "mva"), default="throttled",
+        "--mode", choices=MODES, default="throttled",
         help="evaluation mode (predict only)",
     )
     p.add_argument(
@@ -1120,7 +1101,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for budget in args.budget:
             mixes = design_mix(
                 workload.locality, workload.gamma, budget,
-                top=args.top, remote_rate_adjustment=0.124,
+                top=args.top, remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
             )
             if args.as_json:
                 payloads.append(
@@ -1242,7 +1223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             workload.locality,
             workload.gamma,
             policies=policies,
-            remote_rate_adjustment=0.124 if platform.total_machines > 1 else 0.0,
+            remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
             on_saturation="inf",
         )
         if args.as_json:

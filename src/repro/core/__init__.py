@@ -27,9 +27,13 @@ from repro.core.hierarchy import (
     additional_levels,
 )
 from repro.core.platform import NetworkSpec, NetworkTopology, PlatformSpec
-from repro.core.amat import AmatBreakdown, LevelContribution, average_memory_access_time
+from repro.core.amat import (
+    PAPER_REMOTE_RATE_ADJUSTMENT,
+    AmatBreakdown,
+    LevelContribution,
+    average_memory_access_time,
+)
 from repro.core.execution import ExecutionEstimate, e_app_seconds, e_instr_cycles, e_instr_seconds, evaluate
-from repro.core.adjustment import PAPER_REMOTE_RATE_ADJUSTMENT, adjust_remote_rate, calibrate_remote_adjustment
 from repro.core.validation import ComparisonRow, compare, max_relative_error, mean_relative_error, relative_error
 from repro.core.scalability import ScalabilityResult, ScalePoint, speedup_curve
 from repro.core.mva import MvaCenter, MvaSolution, mva_smp_amat, solve_mva
@@ -54,11 +58,9 @@ __all__ = [
     "ScalePoint",
     "StackDistanceModel",
     "additional_levels",
-    "adjust_remote_rate",
     "average_memory_access_time",
     "barrier_cycle_time",
     "barrier_wait_time",
-    "calibrate_remote_adjustment",
     "compare",
     "e_app_seconds",
     "e_instr_cycles",

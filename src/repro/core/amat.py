@@ -38,6 +38,7 @@ from repro.core.hierarchy import LevelKind, MemoryHierarchy
 from repro.core.locality import StackDistanceModel
 
 __all__ = [
+    "PAPER_REMOTE_RATE_ADJUSTMENT",
     "LevelContribution",
     "AmatBreakdown",
     "average_memory_access_time",
@@ -48,6 +49,12 @@ __all__ = [
 #: adjustment (Section 5.3.2: remote-memory rate scaled up to absorb the
 #: unmodeled shared-memory coherence overhead).
 _REMOTE_KINDS = frozenset({LevelKind.REMOTE_MEMORY, LevelKind.REMOTE_DISK})
+
+#: The paper's empirical adjustment: remote access rate scaled by +12.4%,
+#: chosen so model-vs-simulation differences on clusters drop below 10%.
+#: Only ``_REMOTE_KINDS`` levels see it, and those exist only under an
+#: interconnect, so a single machine's answer is the same at any value.
+PAPER_REMOTE_RATE_ADJUSTMENT = 0.124
 
 
 @dataclass(frozen=True)
@@ -212,8 +219,9 @@ def average_memory_access_time(
         ``(0, 1]``).
     remote_rate_adjustment:
         Fractional increase applied to remote-memory/disk request rates
-        to absorb coherence overhead; the paper uses 0.124 for clusters
-        and 0 for single SMPs.
+        to absorb coherence overhead; the paper uses
+        :data:`PAPER_REMOTE_RATE_ADJUSTMENT` for clusters (a single SMP
+        has no remote level, so the value does not matter there).
     barrier_scale:
         Multiplier on the barrier order-statistics term (1.0 = paper's
         formula; 0.0 drops barriers, useful for ablation).

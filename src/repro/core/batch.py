@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.core.amat import _REMOTE_KINDS, zero_contention_amat
 from repro.core.contention import barrier_term
+from repro.core.execution import MODES, evaluate
 from repro.core.hierarchy import LevelKind, MemoryHierarchy
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
@@ -371,8 +372,6 @@ def _scalar_lane(
     cache_capacity_factor: float,
     contention_boost: float,
 ) -> np.ndarray:
-    from repro.core.execution import evaluate  # deferred: execution imports us
-
     return np.array(
         [
             evaluate(
@@ -431,7 +430,7 @@ def e_instr_seconds_batch(
     )
     if not cases:
         return np.empty(0, dtype=np.float64)
-    if mode not in ("open", "throttled", "mva"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     _validate(gamma, barrier_scale, contention_boost, cases)
     # The vector kernel reads the power law's (alpha, beta, max_distance)

@@ -25,12 +25,16 @@ from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 
 __all__ = [
+    "MODES",
     "ExecutionEstimate",
     "e_instr_cycles",
     "e_instr_seconds",
     "e_app_seconds",
     "evaluate",
 ]
+
+#: The evaluation modes :func:`evaluate` accepts.
+MODES = ("open", "throttled", "mva")
 
 
 def e_instr_cycles(total_processors: int, gamma: float, amat_cycles: float) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
 from repro.core.execution import evaluate
 from repro.core.platform import PlatformSpec
 from repro.workloads.params import WorkloadParams
@@ -80,7 +81,7 @@ def speedup_curve(
     base: PlatformSpec,
     processor_counts: Sequence[int],
     scale_axis: Literal["machines", "processors"] = "machines",
-    remote_rate_adjustment: float = 0.124,
+    remote_rate_adjustment: float = PAPER_REMOTE_RATE_ADJUSTMENT,
 ) -> ScalabilityResult:
     """Sweep a platform family over processor counts with the model.
 
@@ -109,7 +110,7 @@ def speedup_curve(
             spec,
             workload.locality,
             workload.gamma,
-            remote_rate_adjustment=remote_rate_adjustment if spec.N > 1 else 0.0,
+            remote_rate_adjustment=remote_rate_adjustment,
             mode="throttled",
             on_saturation="inf",
             sharing_fraction=workload.sharing_at(spec.N),

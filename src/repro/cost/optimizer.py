@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
 from repro.core.batch import BatchCase, e_instr_seconds_batch
 from repro.core.execution import ExecutionEstimate, evaluate
 from repro.core.platform import PlatformSpec
@@ -70,7 +71,7 @@ class ModelOptions:
     """How the optimizer invokes the performance model."""
 
     mode: str = "throttled"
-    remote_rate_adjustment: float = 0.124
+    remote_rate_adjustment: float = PAPER_REMOTE_RATE_ADJUSTMENT
     barrier_scale: float = 1.0
     cache_capacity_factor: float = 1.0
     contention_boost: float = 1.0
@@ -85,7 +86,7 @@ def _predict(
         spec,
         workload.locality,
         workload.gamma,
-        remote_rate_adjustment=options.remote_rate_adjustment if spec.N > 1 else 0.0,
+        remote_rate_adjustment=options.remote_rate_adjustment,
         barrier_scale=options.barrier_scale,
         on_saturation="inf",
         mode=options.mode,  # type: ignore[arg-type]
@@ -106,9 +107,7 @@ def _batch_case(
             workload.sharing_at(spec.N) if options.use_sharing else 0.0
         ),
         sharing_fresh_fraction=workload.sharing_fresh_fraction,
-        remote_rate_adjustment=(
-            options.remote_rate_adjustment if spec.N > 1 else 0.0
-        ),
+        remote_rate_adjustment=options.remote_rate_adjustment,
     )
 
 

@@ -387,9 +387,6 @@ class DesignSearch:
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
         metrics: obs_metrics.MetricsRegistry | None = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.25,
-        query_timeout: float | None = None,
     ) -> None:
         if method not in METHODS:
             raise ValueError(f"unknown search method {method!r}; use one of {METHODS}")
@@ -417,9 +414,6 @@ class DesignSearch:
         self._cache = DiskCache(cache_dir, self.metrics)
         self._pool = FaultTolerantPool(
             jobs,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            task_timeout=query_timeout,
             retries=self.metrics.counter(
                 "repro_query_retries_total",
                 "Design-query attempts retried after a failure",

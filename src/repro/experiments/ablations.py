@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as dc_replace
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
 from repro.core.execution import evaluate
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
@@ -126,7 +127,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
         est = evaluate(
             cow, params.locality, params.gamma, mode="throttled", on_saturation="inf",
             sharing_fraction=s, sharing_fresh_fraction=fresh,
-            remote_rate_adjustment=0.124,
+            remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
         ).e_instr_seconds
         rows.append(AblationRow("DSM sharing term", label, est, sim_cow))
 
@@ -136,7 +137,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
         est = evaluate(
             cow_slow, params.locality, params.gamma, mode=mode, on_saturation="inf",
             sharing_fraction=sigma, sharing_fresh_fraction=fresh,
-            remote_rate_adjustment=0.124,
+            remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
         ).e_instr_seconds
         rows.append(AblationRow("saturation handling", label, est, sim_slow))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
 from repro.core.validation import ComparisonRow, format_table
 from repro.experiments.configs import SCALE, TABLE3_SMPS, TABLE4_COWS, TABLE5_CLUMPS, scaled
 from repro.experiments.runner import Calibration, ExperimentRunner
@@ -114,7 +115,7 @@ def run_figure3(
         0.10,
         runner,
         calibration,
-        (0.0, 0.124, 0.3, 0.6),
+        (0.0, PAPER_REMOTE_RATE_ADJUSTMENT, 0.3, 0.6),
     )
 
 
@@ -128,5 +129,5 @@ def run_figure4(
         0.08,
         runner,
         calibration,
-        (0.0, 0.124, 0.3, 0.6),
+        (0.0, PAPER_REMOTE_RATE_ADJUSTMENT, 0.3, 0.6),
     )

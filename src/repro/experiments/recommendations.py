@@ -16,14 +16,7 @@ from repro.cost.recommend import (
     recommend,
     upgrade_advice,
 )
-from repro.workloads.params import (
-    PAPER_EDGE,
-    PAPER_FFT,
-    PAPER_LU,
-    PAPER_RADIX,
-    PAPER_TPCC,
-    WorkloadParams,
-)
+from repro.workloads.params import NAMED_WORKLOADS
 
 __all__ = ["RecommendationsResult", "run_recommendations", "PAPER_EXAMPLES"]
 
@@ -35,15 +28,6 @@ PAPER_EXAMPLES: dict[str, WorkloadClass] = {
     "Radix": WorkloadClass.MEMORY_BOUND_POOR_LOCALITY,
     "TPC-C": WorkloadClass.MEMORY_AND_IO_BOUND,
 }
-
-_WORKLOADS = {
-    "LU": PAPER_LU,
-    "FFT": PAPER_FFT,
-    "EDGE": PAPER_EDGE,
-    "Radix": PAPER_RADIX,
-    "TPC-C": PAPER_TPCC,
-}
-
 
 @dataclass(frozen=True)
 class RecommendationsResult:
@@ -72,6 +56,7 @@ class RecommendationsResult:
 
 def run_recommendations() -> RecommendationsResult:
     """Classify the paper's five example workloads."""
-    assignments = {name: classify_workload(w) for name, w in _WORKLOADS.items()}
-    recommendations = {name: recommend(w) for name, w in _WORKLOADS.items()}
+    workloads = {name: NAMED_WORKLOADS[name] for name in PAPER_EXAMPLES}
+    assignments = {name: classify_workload(w) for name, w in workloads.items()}
+    recommendations = {name: recommend(w) for name, w in workloads.items()}
     return RecommendationsResult(assignments=assignments, recommendations=recommendations)

@@ -462,9 +462,7 @@ class ExperimentRunner:
             spec,
             sharing_fraction=sigma,
             sharing_fresh_fraction=fresh,
-            remote_rate_adjustment=(
-                calibration.remote_rate_adjustment if spec.N > 1 else 0.0
-            ),
+            remote_rate_adjustment=calibration.remote_rate_adjustment,
         )
 
     def model(

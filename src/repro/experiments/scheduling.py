@@ -27,15 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
 from repro.scheduling import HeteroPlatform, builtin_hetero_platform, compare_policies
 from repro.scheduling.policies import POLICIES
 from repro.workloads.params import PAPER_WORKLOADS, WorkloadParams
 
 __all__ = ["PolicyCell", "SchedulingResult", "run_policy_comparison"]
-
-#: The clusters-of-workstations remote-rate adjustment every cluster
-#: prediction in the library uses (the CLI convention for N > 1).
-_CLUSTER_ADJUSTMENT = 0.124
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def run_policy_comparison(
     workloads: tuple[WorkloadParams, ...] = PAPER_WORKLOADS,
     policies: tuple[str, ...] | None = None,
     *,
-    remote_rate_adjustment: float = _CLUSTER_ADJUSTMENT,
+    remote_rate_adjustment: float = PAPER_REMOTE_RATE_ADJUSTMENT,
 ) -> SchedulingResult:
     """Evaluate every (platform, workload, policy) cell analytically.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
 from repro.core.platform import PlatformSpec
 from repro.core.validation import ComparisonRow, format_table
 from repro.experiments.runner import Calibration, ExperimentRunner
@@ -143,7 +144,9 @@ def run_two_level_comparison(
     specs = _platforms()
     if calibration is None:
         calibration, _ = runner.calibrate(
-            applications, specs, adjustments=(0.0, 0.124, 0.3, 0.6)
+            applications,
+            specs,
+            adjustments=(0.0, PAPER_REMOTE_RATE_ADJUSTMENT, 0.3, 0.6),
         )
     rows = runner.compare(applications, specs, calibration)
     return TwoLevelResult(

@@ -31,18 +31,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.amat import zero_contention_amat
-from repro.core.execution import e_instr_seconds
+from repro.core.execution import MODES, e_instr_seconds
 from repro.core.platform import PlatformSpec
 from repro.cost.optimizer import ModelOptions, _batch_case, _predict_batch
-from repro.sim.latencies import NetworkKind
-from repro.workloads.params import (
-    PAPER_EDGE,
-    PAPER_FFT,
-    PAPER_LU,
-    PAPER_RADIX,
-    PAPER_TPCC,
-    WorkloadParams,
-)
+from repro.sim.latencies import NAMED_NETWORKS as NETWORKS
+from repro.workloads.params import NAMED_WORKLOADS as WORKLOADS, WorkloadParams
 
 __all__ = [
     "QueryError",
@@ -58,23 +51,6 @@ __all__ = [
 ]
 
 KB, MB = 1024, 1024 * 1024
-
-#: The named Table 2 workloads a request may ask for by name.
-WORKLOADS: dict[str, WorkloadParams] = {
-    "FFT": PAPER_FFT,
-    "LU": PAPER_LU,
-    "Radix": PAPER_RADIX,
-    "EDGE": PAPER_EDGE,
-    "TPC-C": PAPER_TPCC,
-}
-
-NETWORKS: dict[str, NetworkKind] = {
-    "ethernet10": NetworkKind.ETHERNET_10,
-    "ethernet100": NetworkKind.ETHERNET_100,
-    "atm": NetworkKind.ATM_155,
-}
-
-_MODES = ("open", "throttled", "mva")
 
 
 class QueryError(ValueError):
@@ -94,8 +70,8 @@ class PredictRequest:
     mode: str = "throttled"
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise QueryError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise QueryError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def _finite_or_none(x: float) -> float | None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-__all__ = ["PendingRequest", "next_wave", "expired", "percentile"]
+__all__ = ["PendingRequest", "next_wave", "percentile"]
 
 
 @dataclass
@@ -68,11 +68,6 @@ def next_wave(
     dispatch = max(free_at, head.arrival + window)
     riders = [p for p in queue if p.arrival <= dispatch][:max_batch]
     return dispatch, riders
-
-
-def expired(pending: PendingRequest, now: float) -> bool:
-    """Deadline check used both at dispatch and at completion."""
-    return now > pending.deadline
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -70,7 +70,8 @@ class ServiceConfig:
     retry_ratio: float = 0.1
     retry_floor: int = 3
     retry_backoff: float = 0.05
-    #: Simulation worker processes (1 = in-process, no pool to break).
+    #: Worker processes of the spawn pool simulate always runs on (1 is
+    #: still a pool: a worker can die and trip the breaker).
     jobs: int = 2
     #: Seed for backoff jitter and chaos plans.
     seed: int = 0

@@ -47,7 +47,7 @@ from repro.service.api import (
 )
 from repro.service.breaker import CLOSED, CircuitBreaker
 from repro.service.chaos import ServiceFaultPlan
-from repro.service.coalesce import PendingRequest
+from repro.service.coalesce import PendingRequest, next_wave
 from repro.service.config import ENDPOINTS, ServiceConfig
 
 __all__ = ["ServiceCore", "QueryService", "SHED_STATUS", "ROUTES"]
@@ -279,7 +279,13 @@ class QueryService:
             api or QueryAPI(), config, chaos=chaos, metrics=metrics
         )
         self._server: asyncio.AbstractServer | None = None
-        self._queues: dict[str, list[PendingRequest]] = {"predict": [], "design": []}
+        #: Admitted predict/design requests with their reply futures, in
+        #: arrival order (arrival is stamped and the entry appended with
+        #: no await in between).
+        self._queues: dict[str, list[tuple[PendingRequest, asyncio.Future]]] = {
+            "predict": [],
+            "design": [],
+        }
         self._queue_event: dict[str, asyncio.Event] = {}
         self._wave_tasks: list[asyncio.Task] = []
         self._pool: ProcessPoolExecutor | None = None
@@ -492,31 +498,40 @@ class QueryService:
         return 400, {"error": str(pending.answer)}
 
     async def _wave_loop(self, endpoint: str) -> None:
-        """Coalesce queued requests into batched evaluation waves."""
+        """Coalesce queued requests into batched evaluation waves.
+
+        The executor is free whenever the loop comes round, so
+        :func:`next_wave` with ``free_at = now`` decides when the next
+        wave leaves and who rides it, as in the deterministic replay.
+        An injected slow dependency is paid after the riders are fixed,
+        as part of the wave's service time.
+        """
         loop = asyncio.get_running_loop()
         policy = self.core.config.policy(endpoint)
+        queue = self._queues[endpoint]
         while True:
-            queue = self._queues[endpoint]
             if not queue:
                 self._queue_event[endpoint].clear()
                 await self._queue_event[endpoint].wait()
                 continue
-            head, _fut = queue[0]
-            dispatch_at = head.arrival + policy.coalesce_window
-            delay = dispatch_at - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
             now = loop.time()
-            extra = self.core.chaos.extra_latency(now - self._t0)
-            if extra > 0.0:  # injected slow dependency under the wave
-                await asyncio.sleep(extra)
-                now = loop.time()
-            queue = self._queues[endpoint]
-            riders = [pf for pf in queue if pf[0].arrival <= now][: policy.max_batch]
-            for pf in riders:
-                queue.remove(pf)
+            dispatch, riders = next_wave(
+                [pending for pending, _fut in queue],
+                now,
+                policy.coalesce_window,
+                policy.max_batch,
+            )
+            if dispatch > now:
+                # Wait out the window, then plan again: requests may have
+                # joined or timed out of the queue meanwhile.
+                await asyncio.sleep(dispatch - now)
+                continue
+            # Every queued request arrived by ``now``, so the riders are
+            # the oldest entries of the queue.
+            wave = queue[: len(riders)]
+            del queue[: len(riders)]
             live: list[PendingRequest] = []
-            for pending, fut in riders:
+            for pending, fut in wave:
                 if now > pending.deadline:
                     pending.outcome = "deadline"
                     if not fut.done():
@@ -543,7 +558,10 @@ class QueryService:
                 _log.warning("wave failed", endpoint=endpoint, error=str(exc))
                 for pending in live:
                     pending.outcome, pending.answer = "error", exc
-            for pending, fut in riders:
+            extra = self.core.chaos.extra_latency(now - self._t0)
+            if extra > 0.0:  # injected slow dependency under the wave
+                await asyncio.sleep(extra)
+            for _pending, fut in wave:
                 if not fut.done():
                     fut.set_result(None)
 

@@ -232,9 +232,6 @@ class MemoryBackend(ABC):
         """
         return {}
 
-    def machine_of_proc(self, proc: int) -> int:
-        return proc // self.spec.n
-
     def home_of_line(self, line: int) -> int:
         """Home machine of a line; data beyond the mapped space is
         distributed round-robin by directory block."""

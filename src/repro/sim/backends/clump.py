@@ -217,9 +217,3 @@ class ClumpBackend(MemoryBackend):
             "memory buses": sum(b.requests for b in self.buses),
             "disks": sum(d.requests for d in self.disks),
         }
-
-    # ------------------------------------------------------------------
-    def network_utilization(self, total_cycles: float) -> float:
-        if total_cycles <= 0:
-            return 0.0
-        return self.network.busy_cycles / total_cycles

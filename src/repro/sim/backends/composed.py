@@ -658,18 +658,6 @@ class ComposedBackend(MemoryBackend):
         return out
 
     # ------------------------------------------------------------------
-    def bus_utilization(self, total_cycles: float) -> float:
-        """Fraction of simulated time the (single machine's) memory bus
-        was busy."""
-        if self.fabric is not None or total_cycles <= 0:
-            return 0.0
-        return self.bus.busy_cycles / total_cycles
-
-    def network_utilization(self, total_cycles: float) -> float:
-        if self.fabric is None or total_cycles <= 0:
-            return 0.0
-        return self.fabric.busy_cycles / total_cycles
-
     def coherence_traffic_fraction(self) -> float:
         """Share of bus transactions that are protocol-induced
         (invalidate broadcasts + cache-to-cache transfers); capacity

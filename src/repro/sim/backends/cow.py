@@ -242,9 +242,3 @@ class CowBackend(MemoryBackend):
             "network": self.network.messages + self.network.control_messages,
             "disks": sum(d.requests for d in self.disks),
         }
-
-    # ------------------------------------------------------------------
-    def network_utilization(self, total_cycles: float) -> float:
-        if total_cycles <= 0:
-            return 0.0
-        return self.network.busy_cycles / total_cycles

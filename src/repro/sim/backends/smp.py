@@ -170,10 +170,6 @@ class SmpBackend(MemoryBackend):
         return {"memory bus": self.bus.requests, "disk": self.disk.requests}
 
     # ------------------------------------------------------------------
-    def bus_utilization(self, total_cycles: float) -> float:
-        """Fraction of simulated time the memory bus was busy."""
-        return self.bus.busy_cycles / total_cycles if total_cycles else 0.0
-
     def coherence_traffic_fraction(self) -> float:
         """Share of bus transactions that are protocol-induced
         (invalidate broadcasts + cache-to-cache transfers) -- the

@@ -153,11 +153,6 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # batch path (the engine's vectorized fast lane)
     # ------------------------------------------------------------------
-    def contains_batch(self, lines: np.ndarray) -> np.ndarray:
-        """Residency of each line, vectorized; LRU order undisturbed."""
-        rows = self._tags[lines % self.num_sets]
-        return (rows == lines[:, None]).any(axis=1)
-
     def residency(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(resident, slots)``: per-line residency plus the flat slot
         index of each line (meaningful only where ``resident``)."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -142,7 +141,6 @@ class SimulationEngine:
         sample_every: float | None = None,
         fault_plan: FaultPlan | None = None,
         profile: bool = False,
-        compute_scales: "Sequence[float] | None" = None,
     ) -> None:
         """``sample_every`` (simulated cycles) turns on interval sampling:
         the result carries a :class:`~repro.obs.timeline.Timeline` whose
@@ -162,17 +160,6 @@ class SimulationEngine:
         per-(topology node, cause) buckets sum bit-exactly to
         ``P * total_cycles`` in both lanes (see docs/OBSERVABILITY.md).
         The default ``False`` records nothing and adds no per-miss cost.
-
-        ``compute_scales`` gives each process a relative CPU speed (the
-        scheduling layer's per-machine ``speed``): process ``p``'s
-        compute portion -- issue cycle plus padding work -- is divided
-        by ``compute_scales[p]``, while memory latencies, already
-        stated in machine cycles, are untouched.  ``None`` (or all
-        ``1.0``) keeps the exact legacy arithmetic, so homogeneous runs
-        stay bit-identical in both lanes.  Scaled steps are quantized
-        to the 2^-6-cycle grid (``np.round(((work + 1.0) / scale) * 64)
-        / 64``) so float sums stay exact and the scalar and vectorized
-        lanes agree bitwise even at speeds like 2.5.
         """
         if run.num_procs != spec.total_processors:
             raise ValueError(
@@ -190,36 +177,6 @@ class SimulationEngine:
         self.sample_every = sample_every
         self.fault_plan = fault_plan
         self.profile = profile
-        if compute_scales is not None:
-            if len(compute_scales) != run.num_procs:
-                raise ValueError(
-                    f"compute_scales must carry one speed per process: "
-                    f"{len(compute_scales)} != {run.num_procs}"
-                )
-            scales = [float(s) for s in compute_scales]
-            for s in scales:
-                if not (s > 0.0 and s != float("inf")):
-                    raise ValueError(f"compute scales must be positive and finite, got {s!r}")
-            # All-unity collapses to the unscaled path so the legacy
-            # float expressions (and their bit patterns) are untouched.
-            self._speeds = scales if any(s != 1.0 for s in scales) else None
-        else:
-            self._speeds = None
-        # Scaled per-reference compute steps, quantized to the engine's
-        # 2^-6-cycle grid: arbitrary speeds (2.5x, ...) would otherwise
-        # produce non-dyadic step costs, breaking the exact-float-sum
-        # invariant that keeps the lanes bit-identical and the profiler
-        # exact.  Precomputed with NumPy so the scalar lane and the
-        # schedule prefix sums consume literally the same values.
-        if self._speeds is not None:
-            self._scaled_steps = [
-                None
-                if s == 1.0
-                else np.round(((t.work + 1.0) / s) * 64.0) / 64.0
-                for t, s in zip(run.traces, self._speeds)
-            ]
-        else:
-            self._scaled_steps = None
         # Compiled per-process trigger schedules (None when the plan has
         # no engine-side events); network spikes go to the back-end hook.
         self._fault_triggers = (
@@ -259,18 +216,8 @@ class SimulationEngine:
             and hasattr(self.backend, "t_hit")
         )
         if self._batch_ready:
-            if self._speeds is None:
-                step = 1.0 + float(self.backend.t_hit)
-                self._scheds = [(t.work + step).cumsum() for t in run.traces]
-            else:
-                step = 1.0 + float(self.backend.t_hit)
-                t_hit = float(self.backend.t_hit)
-                self._scheds = [
-                    (t.work + step).cumsum()
-                    if qs is None
-                    else (qs + t_hit).cumsum()
-                    for t, qs in zip(run.traces, self._scaled_steps)
-                ]
+            step = 1.0 + float(self.backend.t_hit)
+            self._scheds = [(t.work + step).cumsum() for t in run.traces]
         else:
             self._scheds = None
 
@@ -311,8 +258,6 @@ class SimulationEngine:
         slow_extra = 0.0  #: extra compute charged by F_SLOW windows
         t_hit_f = float(getattr(backend, "t_hit", 0.0))
 
-        speeds = self._speeds  # None on the (bit-exact) unscaled path
-        scaled_steps = self._scaled_steps
         clock = [0.0] * P
         index = [0] * P
         next_barrier = [0] * P
@@ -355,8 +300,6 @@ class SimulationEngine:
             t = clock[p]
             nb = next_barrier[p]
             retry = retry_at[p]
-            speed = speeds[p] if speeds is not None else 1.0
-            qs = scaled_steps[p] if scaled_steps is not None else None
             if ftrigs is not None:
                 ftl = ftrigs[p]
                 fi = fidx[p]
@@ -409,11 +352,7 @@ class SimulationEngine:
                     blocked = True
                     break
                 if i >= n_i:
-                    tw = (
-                        tail_works[p]
-                        if speed == 1.0
-                        else round(tail_works[p] / speed * 64.0) / 64.0
-                    )
+                    tw = tail_works[p]
                     if factor != 1.0:
                         t += tw * factor
                         if profiling:
@@ -488,15 +427,13 @@ class SimulationEngine:
                 # one instruction-stream step: compute, then the reference
                 if factor != 1.0:
                     full = wk[i] * factor + 1.0
-                    if speed != 1.0:
-                        full = round(full / speed * 64.0) / 64.0
                     t += full
                     if profiling:
-                        base = wk[i] + 1.0 if qs is None else float(qs[i])
+                        base = wk[i] + 1.0
                         compute_cycles += base
                         slow_extra += full - base
                 else:
-                    step = wk[i] + 1.0 if qs is None else qs[i]
+                    step = wk[i] + 1.0
                     t += step
                     if profiling:
                         compute_cycles += step

@@ -20,6 +20,7 @@ __all__ = [
     "DIRECTORY_BLOCK_BYTES",
     "CPU_HZ",
     "NetworkKind",
+    "NAMED_NETWORKS",
     "LatencyTable",
     "PAPER_LATENCIES",
     "NETWORK_LATENCIES",
@@ -59,6 +60,14 @@ class NetworkKind(str, Enum):
     @property
     def bandwidth_mbps(self) -> int:
         return {"10Mb bus": 10, "100Mb bus": 100, "155Mb switch": 155}[self.value]
+
+
+#: The interconnects by the name a CLI flag or service request uses.
+NAMED_NETWORKS: dict[str, NetworkKind] = {
+    "ethernet10": NetworkKind.ETHERNET_10,
+    "ethernet100": NetworkKind.ETHERNET_100,
+    "atm": NetworkKind.ATM_155,
+}
 
 
 @dataclass(frozen=True)

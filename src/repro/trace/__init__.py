@@ -32,10 +32,6 @@ _LAZY_MODULES = {
     "ArrayProfile": "profiles",
     "RunProfile": "profiles",
     "profile_run": "profiles",
-    "save_trace": "io",
-    "load_trace": "io",
-    "save_run": "io",
-    "load_run": "io",
     # out-of-core ingestion pipeline (docs/TRACES.md)
     "TraceStoreWriter": "store",
     "TraceStoreReader": "store",
@@ -93,16 +89,12 @@ __all__ = [
     "import_address_binary",
     "import_address_text",
     "ingest",
-    "load_run",
-    "load_trace",
     "lru_hit_ratios",
     "measure_sharing",
     "measure_sharing_fraction",
     "prev_occurrence",
     "profile_run",
     "read_trace",
-    "save_run",
-    "save_trace",
     "stack_distances",
     "stack_distances_naive",
     "write_trace",

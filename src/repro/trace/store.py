@@ -1,9 +1,9 @@
 """Chunked, compressed, append-only trace container for out-of-core traces.
 
-Real application traces are multi-GB; the ``.npz`` round-trip in
-:mod:`repro.trace.io` materializes the whole stream, which is exactly
-what an ingestion pipeline must not do.  This module defines the
-on-disk container the streaming pipeline reads and writes:
+Real application traces are multi-GB, so an ingestion pipeline must
+never materialize the whole stream.  This module defines the one
+on-disk trace format, the container the streaming pipeline reads and
+writes:
 
 * a fixed-width JSON **header** (``HEADER_BYTES`` bytes, space padded)
   carrying schema version, record count, address width, chunk size and

@@ -95,14 +95,12 @@ def fit_stack_distance_model(
 def fit_from_distances(
     distances: np.ndarray,
     num_points: int = 64,
-    min_capacity: float = 1.0,
-    max_capacity: float | None = None,
 ) -> FitResult:
     """Fit the locality model directly to a stack-distance array.
 
     Evaluates the empirical CDF at ``num_points`` log-spaced capacities
-    between ``min_capacity`` and the largest finite distance (or
-    ``max_capacity``), then delegates to :func:`fit_stack_distance_model`.
+    between 1 and the largest finite distance, then delegates to
+    :func:`fit_stack_distance_model`.
     Cold references count as misses at every capacity, exactly as they
     behave in a real hierarchy (compulsory misses).
     """
@@ -114,9 +112,8 @@ def fit_from_distances(
         raise ValueError("trace has no reuse at all; locality is undefined")
     cold_fraction = 1.0 - warm.size / d.size
     max_distance = float(warm.max()) + 1.0
-    top = max_distance if max_capacity is None else float(max_capacity)
-    top = max(top, min_capacity * 2.0)
-    caps = np.unique(np.geomspace(min_capacity, top, num_points))
+    top = max(max_distance, 2.0)
+    caps = np.unique(np.geomspace(1.0, top, num_points))
     hits = lru_hit_ratios(d, caps)
     base = fit_stack_distance_model(caps, hits, cold_fraction=cold_fraction)
     truncated = StackDistanceModel(

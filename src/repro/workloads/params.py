@@ -24,6 +24,7 @@ __all__ = [
     "PAPER_EDGE",
     "PAPER_TPCC",
     "PAPER_WORKLOADS",
+    "NAMED_WORKLOADS",
 ]
 
 
@@ -165,3 +166,8 @@ PAPER_TPCC = WorkloadParams(
 )
 
 PAPER_WORKLOADS: tuple[WorkloadParams, ...] = (PAPER_FFT, PAPER_LU, PAPER_RADIX, PAPER_EDGE)
+
+#: The paper's workloads by the name a CLI flag or service request uses.
+NAMED_WORKLOADS: dict[str, WorkloadParams] = {
+    w.name: w for w in (*PAPER_WORKLOADS, PAPER_TPCC)
+}

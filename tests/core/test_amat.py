@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.amat import average_memory_access_time
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, average_memory_access_time
 from repro.core.contention import QueueSaturationError, barrier_term, mg1_response_time
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
@@ -131,6 +131,13 @@ class TestSaturation:
 
 
 class TestExtensions:
+    def test_paper_remote_rate_adjustment(self):
+        """Section 5.3.2's +12.4%, exported once, from ``repro.core`` too."""
+        import repro.core
+
+        assert PAPER_REMOTE_RATE_ADJUSTMENT == 0.124
+        assert repro.core.PAPER_REMOTE_RATE_ADJUSTMENT is PAPER_REMOTE_RATE_ADJUSTMENT
+
     def test_remote_rate_adjustment_increases_remote_rate(self):
         h = _cow()
         base = average_memory_access_time(h, LOC, gamma=0.3)

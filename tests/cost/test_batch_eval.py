@@ -9,7 +9,8 @@ modes, ``e_instr_seconds_batch`` must equal per-spec ``evaluate`` with
 holds too when the per-case knobs vary inside one batch (what
 ``ExperimentRunner.calibrate`` sends), on topology-tree platforms, and
 when a hierarchy memo is shared across calls.  The zero-contention
-lower bound must never exceed the true E(Instr) in any mode.
+lower bound must never exceed the true E(Instr) in any mode, and a
+single machine's answer never moves with the remote-rate adjustment.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.amat import zero_contention_amat
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, zero_contention_amat
 from repro.core.batch import BatchCase, e_instr_lower_bounds, e_instr_seconds_batch
-from repro.core.execution import evaluate
+from repro.core.execution import MODES, evaluate
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 from repro.sim.latencies import NetworkKind
@@ -274,6 +277,58 @@ def test_per_case_knobs_match_scalar() -> None:
             sharing_fresh_fraction=case.sharing_fresh_fraction,
         ).e_instr_seconds
         assert want == have
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 8]),
+    cache_kb=st.sampled_from([2, 64, 256, 512]),
+    memory_mb=st.sampled_from([4, 32, 128]),
+    l2=st.booleans(),
+    alpha=st.floats(1.15, 2.6),
+    beta=st.floats(5.0, 5000.0),
+    max_distance=st.none() | st.floats(1e5, 1e8),
+    gamma=st.floats(0.05, 1.0),
+    sharing=st.sampled_from([0.0, 0.1, 0.6]),
+    barrier_scale=st.sampled_from([0.0, 1.0, 2.5]),
+    cache_capacity_factor=st.sampled_from([0.5, 1.0]),
+    contention_boost=st.sampled_from([1.0, 2.0]),
+)
+def test_single_machine_ignores_the_remote_adjustment(
+    n, cache_kb, memory_mb, l2, alpha, beta, max_distance, gamma, sharing,
+    barrier_scale, cache_capacity_factor, contention_boost,
+) -> None:
+    """The adjustment scales only remote levels, which need an
+    interconnect, so callers may pass it without an ``N > 1`` guard."""
+    spec = PlatformSpec(
+        "one-machine", n=n, N=1, cache_bytes=cache_kb * KB,
+        memory_bytes=memory_mb * MB,
+        l2_bytes=4 * cache_kb * KB if l2 and 4 * cache_kb < memory_mb * KB else None,
+    )
+    locality = StackDistanceModel(alpha=alpha, beta=beta, max_distance=max_distance)
+    knobs = dict(
+        on_saturation="inf",
+        barrier_scale=barrier_scale,
+        sharing_fraction=sharing,
+        cache_capacity_factor=cache_capacity_factor,
+        contention_boost=contention_boost,
+    )
+    for mode in MODES:
+        answers = []
+        for adjustment in (0.0, PAPER_REMOTE_RATE_ADJUSTMENT):
+            answers.append(
+                evaluate(
+                    spec, locality, gamma, mode=mode,
+                    remote_rate_adjustment=adjustment, **knobs,
+                ).e_instr_seconds
+            )
+            answers.append(
+                e_instr_seconds_batch(
+                    [spec], locality, gamma, mode=mode,
+                    remote_rate_adjustment=adjustment, **knobs,
+                )[0]
+            )
+        assert answers == [answers[0]] * 4, (mode, answers)
 
 
 def test_mva_mode_falls_back_to_scalar() -> None:

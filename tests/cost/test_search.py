@@ -409,5 +409,3 @@ class TestValidation:
     def test_pool_knobs_validated(self) -> None:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             DesignSearch(jobs=0, metrics=MetricsRegistry())
-        with pytest.raises(ValueError, match="max_retries"):
-            DesignSearch(max_retries=-1, metrics=MetricsRegistry())

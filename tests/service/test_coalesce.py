@@ -18,7 +18,7 @@ from repro.service.api import (
     QueryAPI,
     platform_from_obj,
 )
-from repro.service.coalesce import PendingRequest, expired, next_wave, percentile
+from repro.service.coalesce import PendingRequest, next_wave, percentile
 
 
 def _pending(index, arrival, deadline=1e9, endpoint="predict"):
@@ -53,11 +53,6 @@ class TestNextWave:
     def test_empty_queue_is_an_error(self):
         with pytest.raises(ValueError, match="empty"):
             next_wave([], 0.0, 0.01, 64)
-
-    def test_expired(self):
-        p = _pending(0, 0.0, deadline=2.0)
-        assert not expired(p, 2.0)
-        assert expired(p, 2.0001)
 
 
 class TestPercentile:

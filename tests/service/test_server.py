@@ -17,7 +17,7 @@ import pytest
 from repro.cost.search import METHODS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.api import QueryAPI
-from repro.service.chaos import ServiceFaultPlan, WorkerKill
+from repro.service.chaos import ServiceFaultPlan, SlowDependency, WorkerKill
 from repro.service.config import ServiceConfig
 from repro.service.loadgen import http_request
 from repro.service.server import QueryService
@@ -195,6 +195,33 @@ class TestAdmission:
             )
             assert obj["e_instr_seconds"] == direct.e_instr_seconds
         assert batched == len(bodies), "requests must actually coalesce"
+
+    def test_riders_are_fixed_before_a_slow_dependency(self):
+        # A rides the wave that leaves at 0.05 s and pays the injected
+        # 1 s delay; B arrives during that delay and must wait for the
+        # next wave, exactly as the deterministic replay decides.
+        config = ServiceConfig(jobs=1).with_policy("predict", coalesce_window=0.05)
+        chaos = ServiceFaultPlan((SlowDependency(at=0.0, duration=60.0, extra=1.0),))
+
+        def client(request, service):
+            import concurrent.futures
+            import time
+
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                a = pool.submit(
+                    request, "POST", "/v1/predict", {"workload": "FFT", **PLATFORM}
+                )
+                time.sleep(0.3)
+                b = pool.submit(
+                    request, "POST", "/v1/predict", {"workload": "LU", **PLATFORM}
+                )
+                results = [a.result(), b.result()]
+            batch_metric = service.core.metrics.get("service_batch_size")
+            return results, batch_metric.labels(endpoint="predict").count
+
+        results, waves = drive(client, config=config, chaos=chaos)
+        assert [status for status, _ in results] == [200, 200]
+        assert waves == 2, "B joined a wave dispatched before it arrived"
 
 
 class TestSimulatePath:

@@ -143,6 +143,13 @@ class TestDocsMatchCode:
                 f"server.py no longer registers {metric}"
             )
 
+    def test_service_doc_names_every_predict_mode(self):
+        from repro.core.execution import MODES
+
+        doc = (ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
+        row = next(line for line in doc.splitlines() if "`/v1/predict`" in line)
+        assert re.findall(r"`(\w+)`", row.split("modes", 1)[1]) == list(MODES)
+
     def test_service_doc_shed_reasons_match_code(self):
         from repro.service.server import SHED_STATUS
 
