@@ -50,7 +50,6 @@ def main() -> None:
             workload.locality,
             workload.gamma,
             mode="throttled",  # self-limiting closed-system variant
-            on_saturation="inf",
             sharing_fraction=workload.sharing_at(spec.N),
             sharing_fresh_fraction=workload.sharing_fresh_fraction,
         )

@@ -45,9 +45,7 @@ def main() -> None:
     )
     print(f"{'platform':<28s} {'k':>3s} {'E(Instr)':>12s}")
     for spec in (base, with_l2):
-        est = evaluate(
-            spec, mix.locality, mix.gamma, mode="throttled", on_saturation="inf"
-        )
+        est = evaluate(spec, mix.locality, mix.gamma, mode="throttled")
         print(
             f"{spec.name:<28s} {spec.hierarchy().length:>3d} "
             f"{est.e_instr_seconds:>12.3e}"

@@ -8,17 +8,20 @@ the budget-constrained cluster-design optimizer.
 
 Quick start::
 
-    import repro
+    >>> import repro
+    >>> workload = repro.PAPER_FFT                 # paper Table 2 row
+    >>> platform = repro.PlatformSpec(
+    ...     name="my-cluster", n=1, N=4,
+    ...     cache_bytes=256 * 1024, memory_bytes=64 * 1024 * 1024,
+    ...     network=repro.NetworkKind.ETHERNET_100,
+    ... )
+    >>> estimate = repro.evaluate(platform, workload.locality, workload.gamma,
+    ...                           mode="throttled")
+    >>> print(f"{estimate.e_instr_seconds:.3e}")  # seconds per instruction
+    7.162e-09
 
-    workload = repro.PAPER_FFT                     # paper Table 2 row
-    platform = repro.PlatformSpec(
-        name="my-cluster", n=1, N=4,
-        cache_bytes=256 * 1024, memory_bytes=64 * 1024 * 1024,
-        network=repro.NetworkKind.ETHERNET_100,
-    )
-    estimate = repro.evaluate(platform, workload.locality, workload.gamma,
-                              mode="throttled", on_saturation="inf")
-    print(estimate.e_instr_seconds)
+A platform whose modeled queues saturate gets an infinite time and
+``estimate.feasible`` is False; nothing raises.
 
 See ``examples/`` for complete scenarios and ``DESIGN.md`` for the
 paper-to-module map.

@@ -562,15 +562,18 @@ def _validate_upgrade_args(args: argparse.Namespace) -> None:
 def _platform_from(args: argparse.Namespace, name: str = "platform") -> PlatformSpec:
     if getattr(args, "platform", None) is not None:
         return args.platform
-    return PlatformSpec(
-        name=name,
-        n=args.procs_per_machine,
-        N=args.machines,
-        cache_bytes=args.cache_kb * KB,
-        memory_bytes=args.memory_mb * MB,
-        network=NAMED_NETWORKS[args.network] if args.machines > 1 else None,
-        l2_bytes=args.l2_kb * KB if getattr(args, "l2_kb", None) else None,
-    )
+    try:
+        return PlatformSpec(
+            name=name,
+            n=args.procs_per_machine,
+            N=args.machines,
+            cache_bytes=args.cache_kb * KB,
+            memory_bytes=args.memory_mb * MB,
+            network=NAMED_NETWORKS[args.network] if args.machines > 1 else None,
+            l2_bytes=args.l2_kb * KB if getattr(args, "l2_kb", None) else None,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: bad platform: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1224,7 +1227,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             workload.gamma,
             policies=policies,
             remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
-            on_saturation="inf",
         )
         if args.as_json:
             print(json.dumps(

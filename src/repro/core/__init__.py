@@ -5,7 +5,10 @@ model of the average execution time per instruction of an SPMD program on
 a single SMP, a cluster of workstations (COW), or a cluster of SMPs
 (CLUMP), derived from a stack-distance locality characterization of the
 workload and an M/D/1 + order-statistics characterization of contention
-on shared resources.
+on shared resources.  A platform whose modeled queue saturates gets an
+infinite time (``ExecutionEstimate.feasible`` is False); the model never
+raises for it.  :class:`QueueSaturationError` is the M/D/1 functions'
+own input check, which the AMAT sum catches.
 """
 
 from repro.core.locality import StackDistanceModel

@@ -14,6 +14,11 @@ where, per level ``i`` with stack-distance boundary ``s_i``:
   with contention population ``c`` (:func:`repro.core.contention.queued_contribution`),
 * ``H_P - 1`` is the barrier order-statistics term over all P processes.
 
+A level whose M/D/1 queue saturates (``rho >= 1``) has an infinite
+response, and so does ``T``: the open model is finite only below
+saturation, and the design search treats an infinite time as
+infeasible.
+
 Working in cycles with one instruction per cycle makes ``S = 1``, so the
 prefactor is simply ``1/gamma``.  The cluster variants differ from the
 SMP formula only through the hierarchy structure (levels, boundaries,
@@ -39,6 +44,8 @@ from repro.core.locality import StackDistanceModel
 
 __all__ = [
     "PAPER_REMOTE_RATE_ADJUSTMENT",
+    "MAX_ITERATIONS",
+    "TOLERANCE",
     "LevelContribution",
     "AmatBreakdown",
     "average_memory_access_time",
@@ -55,6 +62,13 @@ _REMOTE_KINDS = frozenset({LevelKind.REMOTE_MEMORY, LevelKind.REMOTE_DISK})
 #: Only ``_REMOTE_KINDS`` levels see it, and those exist only under an
 #: interconnect, so a single machine's answer is the same at any value.
 PAPER_REMOTE_RATE_ADJUSTMENT = 0.124
+
+#: Bisection limits of the throttled fixed point: at most
+#: ``MAX_ITERATIONS`` halvings, stopping once the bracket is no wider
+#: than ``TOLERANCE``.  The batch lane (:mod:`repro.core.batch`) runs
+#: the same bisection with the same limits.
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,7 +129,6 @@ def _evaluate_once(
     gamma: float,
     remote_rate_adjustment: float,
     barrier_scale: float,
-    on_saturation: Literal["raise", "inf"],
     issue_scale: float,
     sharing_fraction: float,
     sharing_fresh_fraction: float,
@@ -153,8 +166,6 @@ def _evaluate_once(
         try:
             response = mg1_response_time(lam_q, level.tau_cycles, level.population)
         except QueueSaturationError:
-            if on_saturation == "raise":
-                raise
             response = math.inf
             saturated = True
         # Q(lam, tau, c) / (gamma * issue_scale) == tail * fraction * t:
@@ -197,15 +208,15 @@ def average_memory_access_time(
     gamma: float,
     remote_rate_adjustment: float = 0.0,
     barrier_scale: float = 1.0,
-    on_saturation: Literal["raise", "inf"] = "raise",
     mode: Literal["open", "throttled"] = "open",
     sharing_fraction: float = 0.0,
     sharing_fresh_fraction: float = 1.0,
     contention_boost: float = 1.0,
-    max_iterations: int = 200,
-    tolerance: float = 1e-9,
 ) -> AmatBreakdown:
     """Evaluate the paper's AMAT model on a hierarchy and a workload.
+
+    A saturated M/D/1 level reports an infinite response and makes the
+    total infinite (:attr:`AmatBreakdown.saturated`); nothing raises.
 
     Parameters
     ----------
@@ -225,11 +236,6 @@ def average_memory_access_time(
     barrier_scale:
         Multiplier on the barrier order-statistics term (1.0 = paper's
         formula; 0.0 drops barriers, useful for ablation).
-    on_saturation:
-        ``"raise"`` propagates :class:`QueueSaturationError` when any
-        M/D/1 term saturates; ``"inf"`` instead reports infinite response
-        for the saturated level(s) and an infinite total, which the cost
-        optimizer treats as infeasible.
     mode:
         ``"open"`` is the paper's formula: processors offer requests at
         the full issue rate ``gamma * S`` regardless of stalls, which can
@@ -264,7 +270,7 @@ def average_memory_access_time(
     dist = locality.rescaled(hierarchy.total_processes)
     if mode == "open":
         return _evaluate_once(
-            hierarchy, dist, gamma, remote_rate_adjustment, barrier_scale, on_saturation, 1.0,
+            hierarchy, dist, gamma, remote_rate_adjustment, barrier_scale, 1.0,
             sharing_fraction, sharing_fresh_fraction, contention_boost,
         )
 
@@ -287,7 +293,7 @@ def average_memory_access_time(
 
     def evaluate_at(scale: float) -> AmatBreakdown:
         return _evaluate_once(
-            hierarchy, dist, gamma, remote_rate_adjustment, barrier_scale, "inf", scale,
+            hierarchy, dist, gamma, remote_rate_adjustment, barrier_scale, scale,
             sharing_fraction, sharing_fresh_fraction, contention_boost,
         )
 
@@ -298,7 +304,7 @@ def average_memory_access_time(
         if g_hi >= 0.0:
             return result  # self-consistent at the cap already
     lo = 0.0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
         result = evaluate_at(mid)
         t = result.total_cycles
@@ -306,12 +312,9 @@ def average_memory_access_time(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tolerance:
+        if hi - lo <= TOLERANCE:
             break
-    result = evaluate_at(lo if lo > 0.0 else 0.5 * (lo + hi))
-    if not math.isfinite(result.total_cycles) and on_saturation == "raise":
-        raise QueueSaturationError(math.inf, "throttled fixed point failed to stabilize")
-    return result
+    return evaluate_at(lo if lo > 0.0 else 0.5 * (lo + hi))
 
 
 def zero_contention_amat(

@@ -27,9 +27,9 @@ Two details make bit identity non-trivial and are handled explicitly:
   result is exactly ``tail`` (``1.0*t + 0.0*m == t`` for finite
   ``m >= 0``, ``t >= 0``), matching the scalar lane's skipped branch.
 
-``mode="mva"``, ``on_saturation="raise"`` (which must raise from the
-exact offending candidate) and duck-typed locality models that are not
-the power-law :class:`~repro.core.locality.StackDistanceModel` (e.g.
+A saturated candidate comes back ``inf``, as it does from ``evaluate``.
+``mode="mva"`` and duck-typed locality models that are not the
+power-law :class:`~repro.core.locality.StackDistanceModel` (e.g.
 :class:`repro.workloads.mix.MixedLocality`, which only promises
 ``tail``/``cdf``/``rescaled``) fall back to the scalar lane; results
 remain identical by construction.
@@ -45,10 +45,9 @@ Folding a platform into its :class:`~repro.core.hierarchy.MemoryHierarchy`
 is per-case Python work that repeats whenever a caller evaluates the
 same platform again.  Both entry points therefore take an optional
 ``hierarchy_memo``: a caller-owned dict of folds keyed on ``(spec,
-include_peer_cache, remote_cached_fraction, cache_capacity_factor)``.
-A fold is a pure function of that key, so reusing one changes no
-answer.  Without a memo, a call still folds each distinct platform
-once.
+cache_capacity_factor)``.  A fold is a pure function of that key, so
+reusing one changes no answer.  Without a memo, a call still folds each
+distinct platform once.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.core.amat import _REMOTE_KINDS, zero_contention_amat
+from repro.core.amat import MAX_ITERATIONS, TOLERANCE, _REMOTE_KINDS, zero_contention_amat
 from repro.core.contention import barrier_term
 from repro.core.execution import MODES, evaluate
 from repro.core.hierarchy import LevelKind, MemoryHierarchy
@@ -67,11 +66,6 @@ from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 
 __all__ = ["BatchCase", "e_instr_seconds_batch", "e_instr_lower_bounds"]
-
-#: Mirrors the scalar solver's defaults in
-#: :func:`repro.core.amat.average_memory_access_time`.
-_MAX_ITERATIONS = 200
-_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,20 +82,6 @@ class BatchCase:
     sharing_fraction: float = 0.0
     sharing_fresh_fraction: float = 1.0
     remote_rate_adjustment: float = 0.0
-
-
-def _as_cases(
-    specs: Sequence[PlatformSpec | BatchCase],
-    sharing_fraction: float,
-    sharing_fresh_fraction: float,
-    remote_rate_adjustment: float,
-) -> list[BatchCase]:
-    return [
-        s
-        if isinstance(s, BatchCase)
-        else BatchCase(s, sharing_fraction, sharing_fresh_fraction, remote_rate_adjustment)
-        for s in specs
-    ]
 
 
 def _validate(gamma: float, barrier_scale: float, contention_boost: float, cases) -> None:
@@ -272,7 +252,7 @@ class _LevelGroup:
 
         active = ~done_at_cap
         lo = np.zeros(m)
-        for _ in range(_MAX_ITERATIONS):
+        for _ in range(MAX_ITERATIONS):
             sel = np.flatnonzero(active)
             if sel.size == 0:
                 break
@@ -281,7 +261,7 @@ class _LevelGroup:
             go_hi = ~np.isfinite(t_mid) | (1.0 / (1.0 + gamma * t_mid) < mid)
             hi[sel] = np.where(go_hi, mid, hi[sel])
             lo[sel] = np.where(go_hi, lo[sel], mid)
-            converged = (hi[sel] - lo[sel]) <= _TOLERANCE
+            converged = (hi[sel] - lo[sel]) <= TOLERANCE
             active[sel[converged]] = False
 
         rest = np.flatnonzero(~done_at_cap)
@@ -312,22 +292,12 @@ class _LevelGroup:
         return ((1.0 + self.gamma * total) / self.procs) / self.hz
 
 
-def _fold(
-    spec: PlatformSpec,
-    include_peer_cache: bool,
-    remote_cached_fraction: float,
-    cache_capacity_factor: float,
-    memo: dict,
-) -> MemoryHierarchy:
+def _fold(spec: PlatformSpec, cache_capacity_factor: float, memo: dict) -> MemoryHierarchy:
     """``spec.hierarchy(...)``, folded at most once per ``memo``."""
-    key = (spec, include_peer_cache, remote_cached_fraction, cache_capacity_factor)
+    key = (spec, cache_capacity_factor)
     hierarchy = memo.get(key)
     if hierarchy is None:
-        hierarchy = memo[key] = spec.hierarchy(
-            include_peer_cache=include_peer_cache,
-            remote_cached_fraction=remote_cached_fraction,
-            cache_capacity_factor=cache_capacity_factor,
-        )
+        hierarchy = memo[key] = spec.hierarchy(cache_capacity_factor=cache_capacity_factor)
     return hierarchy
 
 
@@ -337,8 +307,6 @@ def _build_groups(
     gamma: float,
     barrier_scale: float,
     contention_boost: float,
-    include_peer_cache: bool,
-    remote_cached_fraction: float,
     cache_capacity_factor: float,
     hierarchy_memo: dict | None,
 ) -> list[_LevelGroup]:
@@ -346,10 +314,7 @@ def _build_groups(
     hierarchies = []
     members: dict[tuple[LevelKind, ...], list[int]] = {}
     for i, case in enumerate(cases):
-        h = _fold(
-            case.spec, include_peer_cache, remote_cached_fraction,
-            cache_capacity_factor, memo,
-        )
+        h = _fold(case.spec, cache_capacity_factor, memo)
         hierarchies.append(h)
         members.setdefault(tuple(level.kind for level in h.levels), []).append(i)
     return [
@@ -365,10 +330,7 @@ def _scalar_lane(
     locality: StackDistanceModel,
     gamma: float,
     mode: str,
-    on_saturation: str,
     barrier_scale: float,
-    include_peer_cache: bool,
-    remote_cached_fraction: float,
     cache_capacity_factor: float,
     contention_boost: float,
 ) -> np.ndarray:
@@ -380,9 +342,6 @@ def _scalar_lane(
                 gamma,
                 remote_rate_adjustment=case.remote_rate_adjustment,
                 barrier_scale=barrier_scale,
-                include_peer_cache=include_peer_cache,
-                remote_cached_fraction=remote_cached_fraction,
-                on_saturation=on_saturation,  # type: ignore[arg-type]
                 mode=mode,  # type: ignore[arg-type]
                 sharing_fraction=case.sharing_fraction,
                 sharing_fresh_fraction=case.sharing_fresh_fraction,
@@ -396,38 +355,23 @@ def _scalar_lane(
 
 
 def e_instr_seconds_batch(
-    specs: Sequence[PlatformSpec | BatchCase],
+    cases: Sequence[BatchCase],
     locality: StackDistanceModel,
     gamma: float,
     *,
     mode: Literal["open", "throttled", "mva"] = "open",
-    on_saturation: Literal["raise", "inf"] = "raise",
-    remote_rate_adjustment: float = 0.0,
     barrier_scale: float = 1.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
     cache_capacity_factor: float = 1.0,
     contention_boost: float = 1.0,
-    force_scalar: bool = False,
     hierarchy_memo: dict | None = None,
 ) -> np.ndarray:
     """E(Instr) in seconds for every candidate, bit-identical to ``evaluate``.
 
-    ``specs`` mixes :class:`~repro.core.platform.PlatformSpec` (taking the
-    batch-wide ``sharing_fraction``/``remote_rate_adjustment``) and
-    :class:`BatchCase` (overriding them per candidate).  Saturated
-    candidates come back ``inf`` under ``on_saturation="inf"``;
-    ``"raise"`` replays the batch scalar so the exception carries the
-    exact offending candidate.  ``force_scalar=True`` pins the scalar
-    lane (the property tests' reference).  ``hierarchy_memo`` is a
-    caller-owned dict of hierarchy folds to read and fill (see the
-    module docstring).
+    Each :class:`BatchCase` brings its platform and its per-candidate
+    knobs; the keyword arguments hold for the whole batch.  A saturated
+    candidate comes back ``inf``.  ``hierarchy_memo`` is a caller-owned
+    dict of hierarchy folds to read and fill (see the module docstring).
     """
-    cases = _as_cases(
-        specs, sharing_fraction, sharing_fresh_fraction, remote_rate_adjustment
-    )
     if not cases:
         return np.empty(0, dtype=np.float64)
     if mode not in MODES:
@@ -436,41 +380,27 @@ def e_instr_seconds_batch(
     # The vector kernel reads the power law's (alpha, beta, max_distance)
     # directly; duck-typed distributions (e.g. MixedLocality) only promise
     # tail/cdf/rescaled, so they take the scalar lane.
-    if force_scalar or mode == "mva" or not isinstance(locality, StackDistanceModel):
+    if mode == "mva" or not isinstance(locality, StackDistanceModel):
         return _scalar_lane(
-            cases, locality, gamma, mode, on_saturation, barrier_scale,
-            include_peer_cache, remote_cached_fraction, cache_capacity_factor,
+            cases, locality, gamma, mode, barrier_scale, cache_capacity_factor,
             contention_boost,
         )
     out = np.empty(len(cases), dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         for group in _build_groups(
             cases, locality, gamma, barrier_scale, contention_boost,
-            include_peer_cache, remote_cached_fraction, cache_capacity_factor,
-            hierarchy_memo,
+            cache_capacity_factor, hierarchy_memo,
         ):
             out[group.members] = group.e_instr_seconds(mode)
-    if on_saturation == "raise" and not np.isfinite(out).all():
-        # Reproduce the scalar lane's QueueSaturationError exactly.
-        return _scalar_lane(
-            cases, locality, gamma, mode, on_saturation, barrier_scale,
-            include_peer_cache, remote_cached_fraction, cache_capacity_factor,
-            contention_boost,
-        )
     return out
 
 
 def e_instr_lower_bounds(
-    specs: Sequence[PlatformSpec | BatchCase],
+    cases: Sequence[BatchCase],
     locality: StackDistanceModel,
     gamma: float,
     *,
-    remote_rate_adjustment: float = 0.0,
     barrier_scale: float = 1.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
     cache_capacity_factor: float = 1.0,
     hierarchy_memo: dict | None = None,
 ) -> np.ndarray:
@@ -485,9 +415,6 @@ def e_instr_lower_bounds(
     candidate, which is what makes branch-and-bound pruning profitable.
     ``hierarchy_memo`` is as for :func:`e_instr_seconds_batch`.
     """
-    cases = _as_cases(
-        specs, sharing_fraction, sharing_fresh_fraction, remote_rate_adjustment
-    )
     if not cases:
         return np.empty(0, dtype=np.float64)
     _validate(gamma, barrier_scale, 1.0, cases)
@@ -497,10 +424,7 @@ def e_instr_lower_bounds(
         # only consumes the tail/rescaled protocol.
         memo = {} if hierarchy_memo is None else hierarchy_memo
         for k, case in enumerate(cases):
-            hierarchy = _fold(
-                case.spec, include_peer_cache, remote_cached_fraction,
-                cache_capacity_factor, memo,
-            )
+            hierarchy = _fold(case.spec, cache_capacity_factor, memo)
             lb_t = zero_contention_amat(
                 hierarchy, locality, gamma,
                 remote_rate_adjustment=case.remote_rate_adjustment,
@@ -511,8 +435,7 @@ def e_instr_lower_bounds(
             out[k] = ((1.0 + gamma * lb_t) / case.spec.total_processors) / case.spec.cpu_hz
         return out
     for group in _build_groups(
-        cases, locality, gamma, barrier_scale, 1.0,
-        include_peer_cache, remote_cached_fraction, cache_capacity_factor,
+        cases, locality, gamma, barrier_scale, 1.0, cache_capacity_factor,
         hierarchy_memo,
     ):
         out[group.members] = group.lower_bound_seconds()

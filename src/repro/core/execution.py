@@ -104,8 +104,6 @@ def evaluate(
     remote_rate_adjustment: float = 0.0,
     barrier_scale: float = 1.0,
     include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    on_saturation: Literal["raise", "inf"] = "raise",
     mode: Literal["open", "throttled", "mva"] = "open",
     sharing_fraction: float = 0.0,
     sharing_fresh_fraction: float = 1.0,
@@ -124,10 +122,12 @@ def evaluate(
     (:func:`repro.core.mva.mva_smp_amat`) and falls back to
     ``"throttled"`` on clusters, whose cross-machine coupling is outside
     the exact single-class recursion.
+
+    A saturated queue yields an infinite E(Instr), and the estimate
+    reports itself infeasible (:attr:`ExecutionEstimate.feasible`).
     """
     hierarchy = spec.hierarchy(
         include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
         cache_capacity_factor=cache_capacity_factor,
     )
     if mode == "mva":
@@ -162,7 +162,6 @@ def evaluate(
         gamma,
         remote_rate_adjustment=remote_rate_adjustment,
         barrier_scale=barrier_scale,
-        on_saturation=on_saturation,
         mode=mode,
         sharing_fraction=sharing_fraction,
         sharing_fresh_fraction=sharing_fresh_fraction,

@@ -231,14 +231,12 @@ class PlatformSpec:
     def hierarchy(
         self,
         include_peer_cache: bool = False,
-        remote_cached_fraction: float = 0.0,
         cache_capacity_factor: float = 1.0,
     ) -> MemoryHierarchy:
         """Build the modeled memory hierarchy: one fold of the spec's tree."""
         return build_hierarchy(
             topology_for_spec(self),
             include_peer_cache=include_peer_cache,
-            remote_cached_fraction=remote_cached_fraction,
             cache_capacity_factor=cache_capacity_factor,
         )
 

@@ -112,7 +112,6 @@ def speedup_curve(
             workload.gamma,
             remote_rate_adjustment=remote_rate_adjustment,
             mode="throttled",
-            on_saturation="inf",
             sharing_fraction=workload.sharing_at(spec.N),
             sharing_fresh_fraction=workload.sharing_fresh_fraction,
         )

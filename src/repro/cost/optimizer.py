@@ -88,7 +88,6 @@ def _predict(
         workload.gamma,
         remote_rate_adjustment=options.remote_rate_adjustment,
         barrier_scale=options.barrier_scale,
-        on_saturation="inf",
         mode=options.mode,  # type: ignore[arg-type]
         sharing_fraction=sharing,
         sharing_fresh_fraction=workload.sharing_fresh_fraction,
@@ -120,7 +119,6 @@ def _predict_batch(
         workload.locality,
         workload.gamma,
         mode=options.mode,  # type: ignore[arg-type]
-        on_saturation="inf",
         barrier_scale=options.barrier_scale,
         cache_capacity_factor=options.cache_capacity_factor,
         contention_boost=options.contention_boost,

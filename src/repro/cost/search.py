@@ -170,7 +170,6 @@ def upgrade_path(
 def _batch_kwargs(options: ModelOptions) -> dict:
     return dict(
         mode=options.mode,
-        on_saturation="inf",
         barrier_scale=options.barrier_scale,
         cache_capacity_factor=options.cache_capacity_factor,
         contention_boost=options.contention_boost,
@@ -436,8 +435,8 @@ class DesignSearch:
         #: first use so that constructing an engine stays cheap.
         self._enumeration: list[tuple[PlatformSpec, float]] | None = None
         self._memo: dict = {}
-        #: Folded hierarchies by (spec, knobs): bounded, like ``_memo``,
-        #: by the candidate space.
+        #: Folded hierarchies by (spec, cache capacity factor): bounded,
+        #: like ``_memo``, by the candidate space.
         self._hierarchies: dict = {}
 
     # ------------------------------------------------------------------

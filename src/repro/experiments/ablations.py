@@ -96,7 +96,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
     smp16 = dc_replace(smp, name="abl-smp-16way", cache_ways=16)
     sim16 = runner.simulate(app, smp16).e_instr_seconds
     model_raw = evaluate(
-        smp, params.locality, params.gamma, mode="throttled", on_saturation="inf",
+        smp, params.locality, params.gamma, mode="throttled",
         barrier_scale=0.0,
     ).e_instr_seconds
     rows += [
@@ -113,9 +113,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
         ("truncated at footprint (measured)", params.locality),
         ("raw power law (paper Eq. 1)", untruncated),
     ):
-        est = evaluate(
-            smp, loc, params.gamma, mode="throttled", on_saturation="inf"
-        ).e_instr_seconds
+        est = evaluate(smp, loc, params.gamma, mode="throttled").e_instr_seconds
         rows.append(AblationRow("footprint truncation", label, est, sim_ref))
 
     # ------------------------------------------------------------- sharing
@@ -125,7 +123,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
         ("sharing term off (paper capacity-only)", 0.0),
     ):
         est = evaluate(
-            cow, params.locality, params.gamma, mode="throttled", on_saturation="inf",
+            cow, params.locality, params.gamma, mode="throttled",
             sharing_fraction=s, sharing_fresh_fraction=fresh,
             remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
         ).e_instr_seconds
@@ -135,7 +133,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
     sim_slow = runner.simulate(app, cow_slow).e_instr_seconds
     for label, mode in (("throttled (closed system)", "throttled"), ("open (paper)", "open")):
         est = evaluate(
-            cow_slow, params.locality, params.gamma, mode=mode, on_saturation="inf",
+            cow_slow, params.locality, params.gamma, mode=mode,
             sharing_fraction=sigma, sharing_fresh_fraction=fresh,
             remote_rate_adjustment=PAPER_REMOTE_RATE_ADJUSTMENT,
         ).e_instr_seconds
@@ -147,9 +145,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
 
     hierarchy = smp.hierarchy()
     for label, mode in (("throttled fixed point", "throttled"), ("open M/G/1 (paper)", "open")):
-        est = evaluate(
-            smp, params.locality, params.gamma, mode=mode, on_saturation="inf"
-        ).e_instr_seconds
+        est = evaluate(smp, params.locality, params.gamma, mode=mode).e_instr_seconds
         rows.append(AblationRow("contention treatment", label, est, sim2))
     t_mva = mva_smp_amat(hierarchy, params.locality, params.gamma)
     rows.append(
@@ -164,7 +160,7 @@ def run_ablations(runner: ExperimentRunner | None = None) -> AblationResult:
     # ------------------------------------------------------ peer-cache level
     for label, peer in (("without peer-cache level (paper Eq. 11)", False), ("with peer-cache level", True)):
         est = evaluate(
-            smp, params.locality, params.gamma, mode="throttled", on_saturation="inf",
+            smp, params.locality, params.gamma, mode="throttled",
             include_peer_cache=peer,
         ).e_instr_seconds
         rows.append(AblationRow("SMP peer-cache level", label, est, sim2))

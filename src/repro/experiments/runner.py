@@ -476,7 +476,6 @@ class ExperimentRunner:
             params.gamma,
             remote_rate_adjustment=case.remote_rate_adjustment,
             barrier_scale=calibration.barrier_scale,
-            on_saturation="inf",
             mode=calibration.mode,  # type: ignore[arg-type]
             sharing_fraction=case.sharing_fraction,
             sharing_fresh_fraction=case.sharing_fresh_fraction,
@@ -559,7 +558,6 @@ class ExperimentRunner:
                     params.locality,
                     params.gamma,
                     mode=Calibration.mode,  # type: ignore[arg-type]
-                    on_saturation="inf",
                     barrier_scale=bscale,
                     cache_capacity_factor=kappa,
                     contention_boost=boost,

@@ -176,7 +176,6 @@ def run_policy_comparison(
                 params.gamma,
                 policies=names,
                 remote_rate_adjustment=remote_rate_adjustment,
-                on_saturation="inf",
             )
             for policy, estimate in estimates.items():
                 cells.append(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from repro.core.amat import average_memory_access_time
 from repro.core.contention import generalized_barrier_terms
@@ -176,29 +175,21 @@ def process_costs(
     gamma: float,
     *,
     remote_rate_adjustment: float = 0.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    on_saturation: Literal["raise", "inf"] = "inf",
     sharing_fraction: float = 0.0,
     sharing_fresh_fraction: float = 1.0,
-    contention_boost: float = 1.0,
 ) -> ProcessCosts:
     """Fold every machine of ``platform`` once and price its AMAT.
 
     The only place the scheduling layer folds a tree.  Identical
     machines share one AMAT evaluation; the keyword arguments mirror
-    :func:`repro.core.execution.evaluate` with ``mode="open"``.
+    :func:`repro.core.execution.evaluate` with ``mode="open"``.  A
+    machine whose queue saturates costs ``inf``.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
     memo: dict = {}
     per_machine: list[float] = []
-    for hierarchy in platform.hierarchies(
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-    ):
+    for hierarchy in platform.hierarchies():
         if hierarchy not in memo:
             memo[hierarchy] = average_memory_access_time(
                 hierarchy,
@@ -206,11 +197,9 @@ def process_costs(
                 gamma,
                 remote_rate_adjustment=remote_rate_adjustment,
                 barrier_scale=0.0,
-                on_saturation=on_saturation,
                 mode="open",
                 sharing_fraction=sharing_fraction,
                 sharing_fresh_fraction=sharing_fresh_fraction,
-                contention_boost=contention_boost,
             ).total_cycles
         per_machine.append(memo[hierarchy])
     machines = platform.machine_of_process

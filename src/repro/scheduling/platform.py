@@ -100,20 +100,9 @@ class HeteroPlatform:
             out.extend([index] * leaf.processors)
         return tuple(out)
 
-    def hierarchies(
-        self,
-        *,
-        include_peer_cache: bool = False,
-        remote_cached_fraction: float = 0.0,
-        cache_capacity_factor: float = 1.0,
-    ):
+    def hierarchies(self):
         """One analytical :class:`MemoryHierarchy` per machine (leaf order)."""
-        return leaf_hierarchies(
-            self.topology,
-            include_peer_cache=include_peer_cache,
-            remote_cached_fraction=remote_cached_fraction,
-            cache_capacity_factor=cache_capacity_factor,
-        )
+        return leaf_hierarchies(self.topology)
 
     # -- conversions ---------------------------------------------------
     @classmethod

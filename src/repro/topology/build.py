@@ -109,7 +109,6 @@ def _fold_leaf(
     total_processors: int,
     aggregate_memory: float,
     include_peer_cache: bool,
-    remote_cached_fraction: float,
     cache_capacity_factor: float,
 ) -> MemoryHierarchy:
     """Fold one leaf's view of the tree into the Eq. 7/11 level list.
@@ -169,7 +168,6 @@ def _fold_leaf(
     )
 
     # -- one remote-memory level per interconnect, innermost first ----
-    remote_fraction = 1.0 - remote_cached_fraction
     for ic, machines_below, procs_below, machines_inner, procs_inner in path:
         population = _level_population(ic.contention, procs_below, procs_inner)
         # Share of remote traffic whose lowest common ancestor is this
@@ -183,20 +181,9 @@ def _fold_leaf(
                 boundary_items=memory_items,
                 tau_cycles=ic.remote_node_cycles,
                 population=population,
-                rate_fraction=share * remote_fraction,
+                rate_fraction=share,
             )
         )
-        if remote_cached_fraction > 0.0:
-            levels.append(
-                ModelLevel(
-                    name=f"remotely cached data ({ic.label})",
-                    kind=LevelKind.REMOTE_MEMORY,
-                    boundary_items=memory_items,
-                    tau_cycles=ic.remote_cached_cycles,
-                    population=population,
-                    rate_fraction=share * remote_cached_fraction,
-                )
-            )
 
     # -- disks ---------------------------------------------------------
     if depth == 0:
@@ -256,22 +243,17 @@ def _aggregate_memory(topology: Topology) -> float:
     return math.fsum(leaf.memory.capacity_items for leaf in leaves)
 
 
-def _check_fold_args(topology: Topology, remote_cached_fraction: float) -> None:
+def _check_fold_args(topology: Topology) -> None:
     if not isinstance(topology, (MachineNode, ClusterNode)):
         raise ValueError(
             f"cannot build a hierarchy from {type(topology).__name__!r}; "
             "expected a MachineNode or ClusterNode topology"
-        )
-    if not (0.0 <= remote_cached_fraction <= 1.0):
-        raise ValueError(
-            f"remote_cached_fraction must be in [0, 1], got {remote_cached_fraction!r}"
         )
 
 
 def build_hierarchy(
     topology: Topology,
     include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
     cache_capacity_factor: float = 1.0,
 ) -> MemoryHierarchy:
     """Fold a homogeneous topology tree into the Eq. 7/11 level structure.
@@ -282,7 +264,7 @@ def build_hierarchy(
     :func:`leaf_hierarchies` and the scheduling layer
     (:mod:`repro.scheduling`) instead.
     """
-    _check_fold_args(topology, remote_cached_fraction)
+    _check_fold_args(topology)
     if not topology.is_homogeneous:
         raise ValueError(
             "cannot fold a heterogeneous topology into a single memory "
@@ -299,27 +281,22 @@ def build_hierarchy(
         total_processors=topology.total_processors,
         aggregate_memory=_aggregate_memory(topology),
         include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
         cache_capacity_factor=cache_capacity_factor,
     )
 
 
-def leaf_hierarchies(
-    topology: Topology,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-) -> tuple[MemoryHierarchy, ...]:
+def leaf_hierarchies(topology: Topology) -> tuple[MemoryHierarchy, ...]:
     """One :class:`MemoryHierarchy` per machine, left to right.
 
     The heterogeneous generalization of :func:`build_hierarchy`: each
     machine's view folds its *own* cache/L2/memory/disk sizes with its
     *own* ancestor interconnect path (populations and remote shares are
-    per-path, so unlike siblings see unlike contention).  On a
-    homogeneous tree every entry is value-identical to
-    :func:`build_hierarchy`'s single answer.
+    per-path, so unlike siblings see unlike contention).  It folds the
+    paper's raw model, with no peer-cache level and the full cache, so
+    on a homogeneous tree every entry is value-identical to
+    ``build_hierarchy(topology)``.
     """
-    _check_fold_args(topology, remote_cached_fraction)
+    _check_fold_args(topology)
     platform = classify(topology)
     total_machines = topology.total_machines
     total_processors = topology.total_processors
@@ -332,9 +309,8 @@ def leaf_hierarchies(
             total_machines=total_machines,
             total_processors=total_processors,
             aggregate_memory=aggregate,
-            include_peer_cache=include_peer_cache,
-            remote_cached_fraction=remote_cached_fraction,
-            cache_capacity_factor=cache_capacity_factor,
+            include_peer_cache=False,
+            cache_capacity_factor=1.0,
         )
         for leaf, path in _leaf_paths(topology)
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, average_memory_access_time
-from repro.core.contention import QueueSaturationError, barrier_term, mg1_response_time
+from repro.core.contention import barrier_term, mg1_response_time
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 from repro.sim.latencies import ITEM_BYTES, NetworkKind
@@ -92,32 +92,23 @@ class TestSaturation:
         heavy = StackDistanceModel(alpha=1.2, beta=500.0)
         return _cow(N=4, net=NetworkKind.ETHERNET_10), heavy
 
-    def test_open_mode_raises(self):
-        h, heavy = self._saturating()
-        with pytest.raises(QueueSaturationError):
-            average_memory_access_time(h, heavy, gamma=0.3, on_saturation="raise")
-
     def test_open_mode_inf(self):
         h, heavy = self._saturating()
-        out = average_memory_access_time(h, heavy, gamma=0.3, on_saturation="inf")
+        out = average_memory_access_time(h, heavy, gamma=0.3)
         assert out.saturated
         assert math.isinf(out.total_cycles)
         assert any(lv.saturated for lv in out.levels)
 
     def test_throttled_mode_always_finite(self):
         h, heavy = self._saturating()
-        out = average_memory_access_time(
-            h, heavy, gamma=0.3, mode="throttled", on_saturation="inf"
-        )
+        out = average_memory_access_time(h, heavy, gamma=0.3, mode="throttled")
         assert math.isfinite(out.total_cycles)
         assert all(lv.utilization < 1.0 for lv in out.levels)
 
     def test_throttled_fixed_point_self_consistent(self):
         h, heavy = self._saturating()
         gamma = 0.3
-        out = average_memory_access_time(
-            h, heavy, gamma=gamma, mode="throttled", on_saturation="inf"
-        )
+        out = average_memory_access_time(h, heavy, gamma=gamma, mode="throttled")
         # The realized issue scale equals 1/(1 + gamma T): check via the
         # memory level whose lam = gamma * tail * scale.
         scale = out.levels[0].request_rate / (gamma * out.levels[0].tail_probability)
@@ -156,10 +147,9 @@ class TestExtensions:
     def test_sharing_fraction_adds_remote_traffic(self):
         trunc = StackDistanceModel(alpha=2.5, beta=5.0, max_distance=2000.0)
         h = _cow(memory=4096)  # footprint < memory -> zero capacity tail
-        base = average_memory_access_time(h, trunc, gamma=0.3, on_saturation="inf")
+        base = average_memory_access_time(h, trunc, gamma=0.3)
         shared = average_memory_access_time(
             h, trunc, gamma=0.3, sharing_fraction=0.2, sharing_fresh_fraction=1.0,
-            on_saturation="inf",
         )
         rb = [lv for lv in base.levels if "remote memory" in lv.name][0]
         rs = [lv for lv in shared.levels if "remote memory" in lv.name][0]
@@ -170,11 +160,11 @@ class TestExtensions:
         h = _cow()
         lo = average_memory_access_time(
             h, LOC, gamma=0.3, sharing_fraction=0.2, sharing_fresh_fraction=0.0,
-            mode="throttled", on_saturation="inf",
+            mode="throttled",
         )
         hi = average_memory_access_time(
             h, LOC, gamma=0.3, sharing_fraction=0.2, sharing_fresh_fraction=1.0,
-            mode="throttled", on_saturation="inf",
+            mode="throttled",
         )
         assert hi.total_cycles > lo.total_cycles
 
@@ -208,9 +198,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_throttled_t_at_least_base(self, alpha, beta, gamma, n):
         loc = StackDistanceModel(alpha=alpha, beta=beta)
-        out = average_memory_access_time(
-            _smp(n=n), loc, gamma=gamma, mode="throttled", on_saturation="inf"
-        )
+        out = average_memory_access_time(_smp(n=n), loc, gamma=gamma, mode="throttled")
         assert out.total_cycles >= 1.0
 
     @given(

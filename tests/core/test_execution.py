@@ -70,10 +70,10 @@ class TestEvaluate:
             name="sat", n=1, N=4, cache_bytes=4 * KB, memory_bytes=256 * KB,
             network=NetworkKind.ETHERNET_10,
         )
-        est = evaluate(cow, heavy, gamma=0.4, on_saturation="inf")
+        est = evaluate(cow, heavy, gamma=0.4)
         assert not est.feasible
         assert math.isinf(est.e_instr_seconds)
 
     def test_platform_name_carried(self, cow_spec):
-        est = evaluate(cow_spec, LOC, gamma=0.3, mode="throttled", on_saturation="inf")
+        est = evaluate(cow_spec, LOC, gamma=0.3, mode="throttled")
         assert est.platform_name == cow_spec.name

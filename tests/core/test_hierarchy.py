@@ -110,16 +110,6 @@ class TestCowHierarchy:
         assert remote.tau_cycles == 3275
         assert remote.population == 2  # queueing at the destination only
 
-    def test_remote_cached_split(self):
-        h = _spec(n=1, N=4, network=NetworkKind.ETHERNET_10).hierarchy(
-            remote_cached_fraction=0.3
-        )
-        remotes = [lv for lv in h.levels if lv.kind is LevelKind.REMOTE_MEMORY]
-        assert len(remotes) == 2
-        assert remotes[0].rate_fraction == pytest.approx(0.7)
-        assert remotes[1].rate_fraction == pytest.approx(0.3)
-        assert remotes[1].tau_cycles == 90150
-
 
 class TestClumpHierarchy:
     def test_structure(self):

@@ -29,9 +29,7 @@ def _cow(net: NetworkKind, N: int = 4) -> PlatformSpec:
 
 
 def _eval(spec, loc, gamma, **kw):
-    return evaluate(
-        spec, loc, gamma, mode="throttled", on_saturation="inf", **kw
-    ).e_instr_seconds
+    return evaluate(spec, loc, gamma, mode="throttled", **kw).e_instr_seconds
 
 
 class TestNetworkMonotonicity:

@@ -109,10 +109,8 @@ class TestSmpAmat:
         heavy = StackDistanceModel(alpha=1.2, beta=500.0)
         h = self._h(n=4)
         from repro.core.amat import average_memory_access_time
-        from repro.core.contention import QueueSaturationError
 
-        with pytest.raises(QueueSaturationError):
-            average_memory_access_time(h, heavy, gamma=0.5, on_saturation="raise")
+        assert average_memory_access_time(h, heavy, gamma=0.5).saturated
         assert mva_smp_amat(h, heavy, gamma=0.5) < float("inf")
 
     def test_mva_between_free_and_open(self):
@@ -158,8 +156,8 @@ class TestEvaluateMvaMode:
             name="m", n=1, N=4, cache_bytes=4 * 1024, memory_bytes=256 * 1024,
             network=NetworkKind.ATM_155,
         )
-        a = evaluate(spec, LOC, gamma=0.3, mode="mva", on_saturation="inf")
-        b = evaluate(spec, LOC, gamma=0.3, mode="throttled", on_saturation="inf")
+        a = evaluate(spec, LOC, gamma=0.3, mode="mva")
+        b = evaluate(spec, LOC, gamma=0.3, mode="throttled")
         assert a.e_instr_seconds == pytest.approx(b.e_instr_seconds)
 
     def test_cache_capacity_factor_applies_to_mva(self):

@@ -9,12 +9,14 @@ modes, ``e_instr_seconds_batch`` must equal per-spec ``evaluate`` with
 holds too when the per-case knobs vary inside one batch (what
 ``ExperimentRunner.calibrate`` sends), on topology-tree platforms, and
 when a hierarchy memo is shared across calls.  The zero-contention
-lower bound must never exceed the true E(Instr) in any mode, and a
-single machine's answer never moves with the remote-rate adjustment.
+lower bound must never exceed the true E(Instr) in any mode, a single
+machine's answer never moves with the remote-rate adjustment, and a
+saturated platform is ``inf`` in every lane without any option.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.core.batch import BatchCase, e_instr_lower_bounds, e_instr_seconds_ba
 from repro.core.execution import MODES, evaluate
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
+from repro.scheduling import HeteroPlatform, evaluate_hetero, process_costs
 from repro.sim.latencies import NetworkKind
 from repro.topology.canned import clump_of_smps_spec, deepen_spec
 
@@ -90,11 +93,6 @@ def _random_tree_spec(rng: np.random.Generator, i: int) -> PlatformSpec:
     )
 
 
-def _folds_with_peer_caches(spec: PlatformSpec) -> bool:
-    """A peer-cache level needs any L2 to exceed the machine's pooled caches."""
-    return spec.l2_bytes is None or spec.n * spec.cache_bytes < spec.l2_bytes
-
-
 def _random_case(rng: np.random.Generator, spec: PlatformSpec) -> BatchCase:
     return BatchCase(
         spec,
@@ -112,101 +110,88 @@ def _random_workload(rng: np.random.Generator) -> tuple[StackDistanceModel, floa
     return StackDistanceModel(alpha=alpha, beta=beta, max_distance=max_distance), gamma
 
 
+def _uniform_cases(rng: np.random.Generator, specs) -> list[BatchCase]:
+    """One draw of the per-case knobs, shared by every spec."""
+    knobs = _random_case(rng, specs[0])
+    return [dataclasses.replace(knobs, spec=spec) for spec in specs]
+
+
 def _random_kwargs(rng: np.random.Generator) -> dict:
+    """Batch-wide knobs of ``e_instr_seconds_batch``."""
     return dict(
-        remote_rate_adjustment=float(rng.choice([0.0, 0.124, 0.5])),
         barrier_scale=float(rng.choice([0.0, 1.0, 2.5])),
-        sharing_fraction=float(rng.choice([0.0, 0.1, 0.6])),
-        sharing_fresh_fraction=float(rng.choice([0.0, 0.35, 1.0])),
         cache_capacity_factor=float(rng.choice([0.5, 1.0])),
         contention_boost=float(rng.choice([1.0, 2.0])),
     )
 
 
-def _scalar_reference(specs, locality, gamma, mode, **kwargs):
-    """Scalar ``evaluate`` per item; a BatchCase brings its own knobs."""
-    out = []
-    for item in specs:
-        knobs = dict(kwargs)
-        if isinstance(item, BatchCase):
-            knobs.update(
-                sharing_fraction=item.sharing_fraction,
-                sharing_fresh_fraction=item.sharing_fresh_fraction,
-                remote_rate_adjustment=item.remote_rate_adjustment,
-            )
-            item = item.spec
-        out.append(
-            evaluate(
-                item, locality, gamma, mode=mode, on_saturation="inf", **knobs
-            ).e_instr_seconds
-        )
-    return out
+def _scalar_reference(cases, locality, gamma, mode, **kwargs):
+    """Scalar ``evaluate`` per case, with the case's own knobs."""
+    return [
+        evaluate(
+            case.spec, locality, gamma, mode=mode,
+            sharing_fraction=case.sharing_fraction,
+            sharing_fresh_fraction=case.sharing_fresh_fraction,
+            remote_rate_adjustment=case.remote_rate_adjustment,
+            **kwargs,
+        ).e_instr_seconds
+        for case in cases
+    ]
 
 
 @pytest.mark.parametrize("mode", ["open", "throttled"])
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_matches_scalar_bitwise(mode: str, seed: int) -> None:
-    """Flat and topology-tree platforms; plain specs taking the batch-wide
-    knobs in one batch with BatchCases whose sharing, fresh fraction and
-    remote adjustment vary case by case (what ``calibrate`` sends)."""
+    """Flat and topology-tree platforms; cases sharing one set of knobs
+    in one batch with cases whose sharing, fresh fraction and remote
+    adjustment vary case by case (what ``calibrate`` sends)."""
     rng = np.random.default_rng(1234 + seed)
     specs = [_random_spec(rng, i) for i in range(12)]
     specs += [_random_tree_spec(rng, i) for i in range(6)]
     locality, gamma = _random_workload(rng)
     kwargs = _random_kwargs(rng)
-    kwargs["include_peer_cache"] = bool(rng.random() < 0.5)
-    kwargs["remote_cached_fraction"] = float(rng.choice([0.0, 0.3]))
-    if kwargs["include_peer_cache"]:
-        specs = [spec for spec in specs if _folds_with_peer_caches(spec)]
-    items = specs + [_random_case(rng, spec) for spec in specs]
-    expected = _scalar_reference(items, locality, gamma, mode, **kwargs)
-    got = e_instr_seconds_batch(
-        items, locality, gamma, mode=mode, on_saturation="inf", **kwargs
-    )
+    cases = _uniform_cases(rng, specs) + [_random_case(rng, spec) for spec in specs]
+    expected = _scalar_reference(cases, locality, gamma, mode, **kwargs)
+    got = e_instr_seconds_batch(cases, locality, gamma, mode=mode, **kwargs)
     assert got.dtype == np.float64
     for j, (want, have) in enumerate(zip(expected, got)):
         assert want == have, (
-            f"mismatch at candidate {j} ({items[j]}): "
+            f"mismatch at candidate {j} ({cases[j]}): "
             f"scalar={want!r} batch={have!r}"
         )
 
 
 def test_shared_hierarchy_memo_matches_fresh_calls() -> None:
-    """One memo across calls, cache factors and peer-cache settings
-    answers exactly what memo-less calls answer, and folds each
-    (platform, knobs) key once."""
+    """One memo across calls and cache factors answers exactly what
+    memo-less calls answer, and folds each (platform, cache factor)
+    key once."""
     rng = np.random.default_rng(55)
     specs = [_random_spec(rng, i) for i in range(8)]
     specs += [_random_tree_spec(rng, i) for i in range(4)]
-    specs = [spec for spec in specs if _folds_with_peer_caches(spec)]
     cases = [_random_case(rng, spec) for spec in specs + specs[:4]]
     locality, gamma = _random_workload(rng)
     memo: dict = {}
     for _ in range(2):
         for ccf in (0.5, 1.0):
-            for peer in (False, True):
-                knobs = dict(cache_capacity_factor=ccf, include_peer_cache=peer)
-                for mode in ("open", "throttled"):
-                    fresh = e_instr_seconds_batch(
-                        cases, locality, gamma, mode=mode, on_saturation="inf", **knobs
-                    )
-                    shared = e_instr_seconds_batch(
-                        cases, locality, gamma, mode=mode, on_saturation="inf",
-                        hierarchy_memo=memo, **knobs,
-                    )
-                    assert np.array_equal(fresh, shared)
-                fresh = e_instr_lower_bounds(cases, locality, gamma, **knobs)
-                shared = e_instr_lower_bounds(
-                    cases, locality, gamma, hierarchy_memo=memo, **knobs
+            for mode in ("open", "throttled"):
+                fresh = e_instr_seconds_batch(
+                    cases, locality, gamma, mode=mode, cache_capacity_factor=ccf
+                )
+                shared = e_instr_seconds_batch(
+                    cases, locality, gamma, mode=mode, cache_capacity_factor=ccf,
+                    hierarchy_memo=memo,
                 )
                 assert np.array_equal(fresh, shared)
-    assert len(memo) == len(specs) * 4
-    for (spec, peer, rcf, ccf), hierarchy in memo.items():
-        assert hierarchy == spec.hierarchy(
-            include_peer_cache=peer,
-            remote_cached_fraction=rcf,
-            cache_capacity_factor=ccf,
-        )
+            fresh = e_instr_lower_bounds(
+                cases, locality, gamma, cache_capacity_factor=ccf
+            )
+            shared = e_instr_lower_bounds(
+                cases, locality, gamma, cache_capacity_factor=ccf, hierarchy_memo=memo
+            )
+            assert np.array_equal(fresh, shared)
+    assert len(memo) == len(specs) * 2
+    for (spec, ccf), hierarchy in memo.items():
+        assert hierarchy == spec.hierarchy(cache_capacity_factor=ccf)
 
 
 @pytest.mark.parametrize("mode", ["open", "throttled", "mva"])
@@ -215,11 +200,12 @@ def test_lower_bound_is_admissible(mode: str) -> None:
     for trial in range(6):
         specs = [_random_spec(rng, i) for i in range(10)]
         locality, gamma = _random_workload(rng)
+        cases = _uniform_cases(rng, specs)
         kwargs = _random_kwargs(rng)
         boost = kwargs.pop("contention_boost")
-        bounds = e_instr_lower_bounds(specs, locality, gamma, **kwargs)
+        bounds = e_instr_lower_bounds(cases, locality, gamma, **kwargs)
         truth = _scalar_reference(
-            specs, locality, gamma, mode, contention_boost=boost, **kwargs
+            cases, locality, gamma, mode, contention_boost=boost, **kwargs
         )
         for j, (lb, t) in enumerate(zip(bounds, truth)):
             assert math.isfinite(lb)
@@ -233,15 +219,21 @@ def test_lower_bound_matches_scalar_reference() -> None:
     rng = np.random.default_rng(7)
     specs = [_random_spec(rng, i) for i in range(10)]
     locality, gamma = _random_workload(rng)
+    cases = _uniform_cases(rng, specs)
     kwargs = _random_kwargs(rng)
     kwargs.pop("contention_boost")
     ccf = kwargs.pop("cache_capacity_factor")
     bounds = e_instr_lower_bounds(
-        specs, locality, gamma, cache_capacity_factor=ccf, **kwargs
+        cases, locality, gamma, cache_capacity_factor=ccf, **kwargs
     )
-    for spec, lb in zip(specs, bounds):
+    for case, lb in zip(cases, bounds):
+        spec = case.spec
         amat = zero_contention_amat(
-            spec.hierarchy(cache_capacity_factor=ccf), locality, gamma, **kwargs
+            spec.hierarchy(cache_capacity_factor=ccf), locality, gamma,
+            remote_rate_adjustment=case.remote_rate_adjustment,
+            sharing_fraction=case.sharing_fraction,
+            sharing_fresh_fraction=case.sharing_fresh_fraction,
+            **kwargs,
         )
         want = ((1.0 + gamma * amat) / spec.total_processors) / spec.cpu_hz
         assert lb == pytest.approx(want, rel=1e-12)
@@ -262,16 +254,13 @@ def test_per_case_knobs_match_scalar() -> None:
                 remote_rate_adjustment=0.124 if spec.N > 1 else 0.0,
             )
         )
-    got = e_instr_seconds_batch(
-        cases, locality, gamma, mode="throttled", on_saturation="inf"
-    )
+    got = e_instr_seconds_batch(cases, locality, gamma, mode="throttled")
     for case, have in zip(cases, got):
         want = evaluate(
             case.spec,
             locality,
             gamma,
             mode="throttled",
-            on_saturation="inf",
             remote_rate_adjustment=case.remote_rate_adjustment,
             sharing_fraction=case.sharing_fraction,
             sharing_fresh_fraction=case.sharing_fresh_fraction,
@@ -307,9 +296,7 @@ def test_single_machine_ignores_the_remote_adjustment(
     )
     locality = StackDistanceModel(alpha=alpha, beta=beta, max_distance=max_distance)
     knobs = dict(
-        on_saturation="inf",
         barrier_scale=barrier_scale,
-        sharing_fraction=sharing,
         cache_capacity_factor=cache_capacity_factor,
         contention_boost=contention_boost,
     )
@@ -318,15 +305,15 @@ def test_single_machine_ignores_the_remote_adjustment(
         for adjustment in (0.0, PAPER_REMOTE_RATE_ADJUSTMENT):
             answers.append(
                 evaluate(
-                    spec, locality, gamma, mode=mode,
+                    spec, locality, gamma, mode=mode, sharing_fraction=sharing,
                     remote_rate_adjustment=adjustment, **knobs,
                 ).e_instr_seconds
             )
+            case = BatchCase(
+                spec, sharing_fraction=sharing, remote_rate_adjustment=adjustment
+            )
             answers.append(
-                e_instr_seconds_batch(
-                    [spec], locality, gamma, mode=mode,
-                    remote_rate_adjustment=adjustment, **knobs,
-                )[0]
+                e_instr_seconds_batch([case], locality, gamma, mode=mode, **knobs)[0]
             )
         assert answers == [answers[0]] * 4, (mode, answers)
 
@@ -339,52 +326,47 @@ def test_mva_mode_falls_back_to_scalar() -> None:
         network=NetworkKind.ATM_155,
     )
     got = e_instr_seconds_batch(
-        [smp, cow], loc, 0.3, mode="mva", on_saturation="inf"
+        [BatchCase(smp), BatchCase(cow)], loc, 0.3, mode="mva"
     )
     for spec, have in zip([smp, cow], got):
-        want = evaluate(spec, loc, 0.3, mode="mva", on_saturation="inf").e_instr_seconds
+        want = evaluate(spec, loc, 0.3, mode="mva").e_instr_seconds
         assert want == have
 
 
-def test_force_scalar_lane_identical() -> None:
-    rng = np.random.default_rng(4)
-    specs = [_random_spec(rng, i) for i in range(6)]
-    locality, gamma = _random_workload(rng)
-    fast = e_instr_seconds_batch(
-        specs, locality, gamma, mode="throttled", on_saturation="inf"
-    )
-    slow = e_instr_seconds_batch(
-        specs, locality, gamma, mode="throttled", on_saturation="inf", force_scalar=True
-    )
-    assert np.array_equal(fast, slow)
-
-
-def test_saturation_raise_matches_scalar() -> None:
-    """A saturating batch raises the same error the scalar lane raises."""
-    from repro.core.contention import QueueSaturationError
-
+def test_saturation_is_inf_in_every_lane() -> None:
+    """A saturating open-model platform is ``inf`` and infeasible in the
+    scalar lane, the batch lane and the scheduling layer, with no
+    option passed."""
     loc = StackDistanceModel(alpha=1.2, beta=5000.0)
     hot = PlatformSpec(
         "hot", n=1, N=16, cache_bytes=2 * KB, memory_bytes=4 * MB,
         network=NetworkKind.ETHERNET_10,
     )
-    with pytest.raises(QueueSaturationError):
-        evaluate(hot, loc, 0.9, mode="open")
-    with pytest.raises(QueueSaturationError):
-        e_instr_seconds_batch([hot], loc, 0.9, mode="open")
+    scalar = evaluate(hot, loc, 0.9, mode="open")
+    assert not scalar.feasible
+    assert scalar.e_instr_seconds == math.inf
+    batch = e_instr_seconds_batch([BatchCase(hot)], loc, 0.9, mode="open")
+    assert batch.tolist() == [math.inf]
+    hetero = evaluate_hetero(process_costs(HeteroPlatform.from_spec(hot), loc, 0.9))
+    assert not hetero.feasible
+    assert hetero.e_instr_seconds == math.inf
 
 
 def test_empty_batch_and_validation() -> None:
     loc = StackDistanceModel(alpha=1.6, beta=800.0)
     assert e_instr_seconds_batch([], loc, 0.3).size == 0
     assert e_instr_lower_bounds([], loc, 0.3).size == 0
-    smp = PlatformSpec("v", n=2, N=1, cache_bytes=256 * KB, memory_bytes=64 * MB)
+    smp = BatchCase(
+        PlatformSpec("v", n=2, N=1, cache_bytes=256 * KB, memory_bytes=64 * MB)
+    )
     with pytest.raises(ValueError, match="gamma"):
         e_instr_seconds_batch([smp], loc, 0.0)
     with pytest.raises(ValueError, match="mode"):
         e_instr_seconds_batch([smp], loc, 0.3, mode="bogus")
     with pytest.raises(ValueError, match="sharing_fraction"):
-        e_instr_seconds_batch([smp], loc, 0.3, sharing_fraction=1.5)
+        e_instr_seconds_batch(
+            [dataclasses.replace(smp, sharing_fraction=1.5)], loc, 0.3
+        )
     with pytest.raises(ValueError, match="contention_boost"):
         e_instr_seconds_batch([smp], loc, 0.3, contention_boost=0.5)
 
@@ -403,14 +385,13 @@ def test_mixed_locality_falls_back_to_scalar() -> None:
     mixed = mix_workloads([PAPER_FFT, PAPER_RADIX], [0.7, 0.3], name="blend")
     rng = np.random.default_rng(17)
     specs = [_random_spec(rng, i) for i in range(8)]
+    cases = [BatchCase(spec) for spec in specs]
     for mode in ("open", "throttled"):
-        got = e_instr_seconds_batch(
-            specs, mixed.locality, mixed.gamma, mode=mode, on_saturation="inf"
-        )
-        want = _scalar_reference(specs, mixed.locality, mixed.gamma, mode)
+        got = e_instr_seconds_batch(cases, mixed.locality, mixed.gamma, mode=mode)
+        want = _scalar_reference(cases, mixed.locality, mixed.gamma, mode)
         assert list(got) == want
-    bounds = e_instr_lower_bounds(specs, mixed.locality, mixed.gamma)
-    truth = _scalar_reference(specs, mixed.locality, mixed.gamma, "throttled")
+    bounds = e_instr_lower_bounds(cases, mixed.locality, mixed.gamma)
+    truth = _scalar_reference(cases, mixed.locality, mixed.gamma, "throttled")
     for spec, lb, t in zip(specs, bounds, truth):
         assert math.isfinite(lb) and lb <= t
         amat = zero_contention_amat(spec.hierarchy(), mixed.locality, mixed.gamma)

@@ -11,9 +11,9 @@ def folded(monkeypatch):
     calls = []
     real = platform_module.leaf_hierarchies
 
-    def counting(topology, **kwargs):
+    def counting(topology):
         calls.append(topology)
-        return real(topology, **kwargs)
+        return real(topology)
 
     monkeypatch.setattr(platform_module, "leaf_hierarchies", counting)
     return calls

@@ -59,7 +59,7 @@ class TestHomogeneousBitIdentity:
         self, spec, loc, gamma, adj
     ):
         reference = evaluate(
-            spec, loc, gamma, mode="open", on_saturation="inf",
+            spec, loc, gamma, mode="open",
             remote_rate_adjustment=adj,
         )
         hetero = evaluate_hetero(
@@ -80,7 +80,7 @@ class TestHomogeneousBitIdentity:
 
         spec = clump_of_smps_spec()
         reference = evaluate(
-            spec, loc, gamma, mode="open", on_saturation="inf",
+            spec, loc, gamma, mode="open",
             remote_rate_adjustment=0.124,
         )
         hetero = evaluate_hetero(

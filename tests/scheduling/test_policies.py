@@ -45,7 +45,7 @@ class TestDominance:
         starts), so any violation is a regression in the descent."""
         estimates = compare_policies(
             platform, params.locality, params.gamma,
-            remote_rate_adjustment=0.124, on_saturation="inf",
+            remote_rate_adjustment=0.124,
         )
         best = estimates["memory-aware"].e_instr_seconds
         assert best <= estimates["round-robin"].e_instr_seconds
@@ -58,7 +58,7 @@ class TestDominance:
         lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
         estimates = compare_policies(
             platform, lu.locality, lu.gamma,
-            remote_rate_adjustment=0.124, on_saturation="inf",
+            remote_rate_adjustment=0.124,
         )
         rr = estimates["round-robin"].e_instr_seconds
         ma = estimates["memory-aware"].e_instr_seconds
@@ -72,7 +72,7 @@ class TestDominance:
         lu = next(w for w in PAPER_WORKLOADS if w.name == "LU")
         estimates = compare_policies(
             platform, lu.locality, lu.gamma,
-            remote_rate_adjustment=0.124, on_saturation="inf",
+            remote_rate_adjustment=0.124,
         )
         assert (
             estimates["speed"].e_instr_seconds

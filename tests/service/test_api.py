@@ -102,7 +102,6 @@ class TestPredict:
             workload.locality,
             workload.gamma,
             mode="throttled",
-            on_saturation="inf",
         )[0]
         assert answer.e_instr_seconds == float(expected)
         assert answer.feasible == math.isfinite(float(expected))

@@ -137,7 +137,7 @@ class TestModelVsSimWithL2:
         sim = SimulationEngine(spec, edge_run_4).execute()
         est = evaluate(
             spec, ch.params.locality, ch.params.gamma,
-            mode="throttled", on_saturation="inf", cache_capacity_factor=0.5,
+            mode="throttled", cache_capacity_factor=0.5,
         )
         ratio = est.e_instr_seconds / sim.e_instr_seconds
         assert 0.3 < ratio < 3.0

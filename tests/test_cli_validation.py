@@ -67,6 +67,33 @@ class TestNumericValidation:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--workload", "FFT", "--machines", "1",
+              "--procs-per-machine", "1"], "predict: bad platform: a 1x1 platform"),
+            (["predict", "--workload", "FFT", "--l2-kb", "128"],
+             "predict: bad platform: l2_bytes must sit strictly between"),
+            (["predict", "--workload", "FFT", "--cache-kb", "131072",
+              "--memory-mb", "64"],
+             "predict: bad platform: memory must be larger than the cache"),
+            (["simulate", "--app", "FFT", "--machines", "1",
+              "--procs-per-machine", "1", "--cache-dir", ""],
+             "simulate: bad platform: a 1x1 platform"),
+            (["upgrade", "--workload", "FFT", "--budget-increase", "2000",
+              "--machines", "1", "--procs-per-machine", "1"],
+             "upgrade: bad platform: a 1x1 platform"),
+        ],
+        ids=["one-by-one", "l2-below-cache", "memory-below-cache",
+             "simulate-one-by-one", "upgrade-one-by-one"],
+    )
+    def test_bad_platform_shape_is_a_clean_exit(self, argv, message):
+        """Flags that parse but describe no platform exit with the
+        command and the spec's own reason, not a ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(message)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--app", "FFT", "--jobs", "0"],

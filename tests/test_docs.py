@@ -3,10 +3,11 @@
 A docs tree rots in two ways: a document names a file that moved or
 never landed (stale cross-link), or code renames something a document
 still teaches (stale content).  These tests pin both: every ``*.md``
-path mentioned anywhere in the docs must exist, the README must index
-every subsystem document, the metric and package names the
-COST/ARCHITECTURE pages teach must still exist in the source, and
-COST.md's method table lists exactly the design engine's methods.
+path and every backticked ``dir/file.py`` path mentioned in the docs
+must exist, the README must index every subsystem document, the metric
+and package names the COST/ARCHITECTURE pages teach must still exist in
+the source, and COST.md's method table lists exactly the design
+engine's methods.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ DOC_PAGES = [
 
 _MD_LINK = re.compile(r"(?:docs/)?[A-Z][A-Z_]+\.md")
 
+#: A backticked ``dir/file.py`` path, e.g. `core/amat.py`.
+_PY_PATH = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.py)`")
+
+#: Where a page's source paths are rooted: the repo itself, the source
+#: tree (`repro/diskcache.py`), the package (`core/amat.py`), the tests
+#: and the benchmarks.
+_SOURCE_ROOTS = (".", "src", "src/repro", "tests", "benchmarks")
+
 
 def _md_references(path: Path) -> set[str]:
     """Every README/docs-style markdown path a document mentions."""
@@ -51,6 +60,14 @@ class TestCrossLinks:
             if not target.exists() and not ref.startswith("docs/"):
                 target = ROOT / "docs" / ref
             assert target.exists(), f"{page} references missing {ref}"
+
+    @pytest.mark.parametrize("page", ["README.md", "DESIGN.md", *DOC_PAGES])
+    def test_every_mentioned_source_file_exists(self, page):
+        text = (ROOT / page).read_text(encoding="utf-8")
+        for ref in sorted(set(_PY_PATH.findall(text))):
+            assert any((ROOT / base / ref).exists() for base in _SOURCE_ROOTS), (
+                f"{page} names missing {ref}"
+            )
 
     def test_readme_indexes_every_subsystem_doc(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

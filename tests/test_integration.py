@@ -91,7 +91,6 @@ class TestModelTracksSimulator:
                 ch.params.locality,
                 ch.params.gamma,
                 mode="throttled",
-                on_saturation="inf",
                 sharing_fraction=ch.params.sharing_fraction if spec.N > 1 else 0.0,
                 sharing_fresh_fraction=ch.params.sharing_fresh_fraction,
                 cache_capacity_factor=0.5,
@@ -102,7 +101,7 @@ class TestModelTracksSimulator:
     def test_model_and_sim_agree_on_the_radix_winner(self, radix_run_4, specs):
         ch = characterize_run(radix_run_4)
         cal = dict(
-            mode="throttled", on_saturation="inf", cache_capacity_factor=0.5,
+            mode="throttled", cache_capacity_factor=0.5,
             sharing_fresh_fraction=ch.params.sharing_fresh_fraction,
         )
         model_smp = evaluate(specs["smp"], ch.params.locality, ch.params.gamma, **cal)

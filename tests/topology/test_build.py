@@ -70,7 +70,7 @@ def _flat_specs():
     "kwargs",
     [
         {},
-        {"include_peer_cache": True, "remote_cached_fraction": 0.2},
+        {"include_peer_cache": True},
         {"cache_capacity_factor": 0.5},
     ],
     ids=["plain", "peer+dirty", "halved-cache"],

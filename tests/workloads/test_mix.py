@@ -79,9 +79,7 @@ class TestMixWorkloads:
 class TestModelIntegration:
     def test_evaluate_accepts_mixture(self, smp_spec):
         mix = mix_workloads([PAPER_FFT, PAPER_RADIX], [0.5, 0.5])
-        est = evaluate(
-            smp_spec, mix.locality, mix.gamma, mode="throttled", on_saturation="inf"
-        )
+        est = evaluate(smp_spec, mix.locality, mix.gamma, mode="throttled")
         assert est.e_instr_seconds > 0
 
     def test_mixture_time_between_members(self, smp_spec):
@@ -89,13 +87,13 @@ class TestModelIntegration:
         def t(workload):
             return evaluate(
                 smp_spec, workload.locality, workload.gamma,
-                mode="throttled", on_saturation="inf",
+                mode="throttled",
             ).e_instr_seconds
 
         fft, radix = t(PAPER_FFT), t(PAPER_RADIX)
         mix = mix_workloads([PAPER_FFT, PAPER_RADIX], [0.5, 0.5])
         mixed = evaluate(
-            smp_spec, mix.locality, mix.gamma, mode="throttled", on_saturation="inf"
+            smp_spec, mix.locality, mix.gamma, mode="throttled"
         ).e_instr_seconds
         lo, hi = sorted([fft, radix])
         assert lo * 0.9 <= mixed <= hi * 1.1
