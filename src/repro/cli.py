@@ -233,7 +233,10 @@ def _workload_from(args: argparse.Namespace) -> WorkloadParams:
         raise SystemExit(f"unknown workload {args.workload!r}; known: {known}")
     if args.alpha is None or args.beta is None or args.gamma is None:
         raise SystemExit("provide --workload NAME or all of --alpha/--beta/--gamma")
-    return WorkloadParams("custom", alpha=args.alpha, beta=args.beta, gamma=args.gamma)
+    try:
+        return WorkloadParams("custom", alpha=args.alpha, beta=args.beta, gamma=args.gamma)
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: bad workload: {exc}") from None
 
 
 def _resolve_app(args: argparse.Namespace) -> None:

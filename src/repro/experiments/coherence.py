@@ -91,9 +91,6 @@ def run_coherence_traffic(
         engine = SimulationEngine(spec, run, horizon=runner.horizon)
         engine.execute()
         backend = engine.backend
-        assert hasattr(backend, "coherence_traffic_fraction"), (
-            "coherence traffic is measured on a single-machine (SMP) platform"
-        )
         rows.append(
             CoherenceRow(
                 application=app,

@@ -162,6 +162,8 @@ def workload_from_obj(obj: Mapping) -> WorkloadParams:
     """A workload from ``{"workload": NAME}`` or explicit parameters."""
     name = obj.get("workload")
     if name is not None:
+        if not isinstance(name, str):
+            raise QueryError(f"'workload' must be a string, got {name!r}")
         try:
             return WORKLOADS[name]
         except KeyError:
@@ -194,6 +196,8 @@ def platform_from_obj(obj: Mapping, name: str = "query") -> PlatformSpec:
 
     machines = _pos_int("machines", 4)
     network = obj.get("network", "ethernet100")
+    if not isinstance(network, str):
+        raise QueryError(f"'network' must be a string, got {network!r}")
     if network not in NETWORKS:
         raise QueryError(
             f"unknown network {network!r}; known: {', '.join(sorted(NETWORKS))}"

@@ -4,9 +4,10 @@ The paper validates its analytical model against five hand-built memory
 system simulators driven by the MINT MIPS interpreter.  This package is
 our substitute substrate: an SPMD execution engine interleaves
 per-process memory-reference event streams (produced by the real
-application kernels in :mod:`repro.apps`) and drives cycle-accounting
-back-ends for the five platforms -- SMP, cluster of workstations
-(bus / switch), and cluster of SMPs (bus / switch).
+application kernels in :mod:`repro.apps`) and drives one
+cycle-accounting back-end, built from each platform's topology tree,
+for the five platforms -- SMP, cluster of workstations (bus / switch),
+and cluster of SMPs (bus / switch).
 """
 
 from repro.sim.latencies import (
@@ -33,7 +34,7 @@ def __getattr__(name):
         from repro.sim import engine
 
         return getattr(engine, name)
-    if name in ("BackendStats", "MemoryBackend", "make_backend", "SmpBackend", "CowBackend", "ClumpBackend", "ComposedBackend", "Fabric"):
+    if name in ("BackendStats", "MemoryBackend", "make_backend", "ComposedBackend", "Fabric"):
         from repro.sim import backends
 
         return getattr(backends, name)
@@ -44,9 +45,7 @@ __all__ = [
     "BackendStats",
     "CACHE_LINE_BYTES",
     "CPU_HZ",
-    "ClumpBackend",
     "ComposedBackend",
-    "CowBackend",
     "DIRECTORY_BLOCK_BYTES",
     "Fabric",
     "ITEM_BYTES",

@@ -1,29 +1,21 @@
-"""Memory-system back-ends of the paper's Section 5.1.
+"""Memory-system back-end of the paper's Section 5.1.
 
-The production back-end is the topology-driven
-:class:`~repro.sim.backends.composed.ComposedBackend`, instantiated
-from a platform's declarative tree (:mod:`repro.topology`); it covers
-the paper's five simulators -- SMP (snooping bus), cluster of
-workstations and cluster of SMPs (each over a bus-based Ethernet or a
-switched ATM) -- and deeper multi-level fabrics the legacy classes
-cannot express.  ``SmpBackend``/``CowBackend``/``ClumpBackend`` are
-kept as the bespoke reference implementations the composed back-end is
-property-tested against for bit-identity.
+One topology-driven back-end,
+:class:`~repro.sim.backends.composed.ComposedBackend`, is instantiated
+from a platform's declarative tree (:mod:`repro.topology`).  The shape
+of the tree picks its access path, so it covers the paper's five
+simulators -- SMP (snooping bus), cluster of workstations and cluster
+of SMPs (each over a bus-based Ethernet or a switched ATM) -- and
+deeper multi-level fabrics.
 """
 
 from repro.sim.backends.base import BackendStats, MemoryBackend, make_backend
-from repro.sim.backends.smp import SmpBackend
-from repro.sim.backends.cow import CowBackend
-from repro.sim.backends.clump import ClumpBackend
 from repro.sim.backends.composed import ComposedBackend, Fabric
 
 __all__ = [
     "BackendStats",
-    "ClumpBackend",
     "ComposedBackend",
-    "CowBackend",
     "Fabric",
     "MemoryBackend",
-    "SmpBackend",
     "make_backend",
 ]

@@ -8,8 +8,8 @@ the completion time of the reference; every queueing effect is realized
 through the FCFS :class:`~repro.sim.memory.Server` objects the back-end
 routes the request through.
 
-Back-ends may additionally implement :meth:`MemoryBackend.access_batch`,
-the engine's vectorized fast lane: a run of consecutive references that
+Back-ends also implement :meth:`MemoryBackend.access_batch`, the
+engine's vectorized fast lane: a run of consecutive references that
 provably cannot interact with any other process (own-cache hits that
 touch no shared server and mutate no coherence state) is consumed as one
 array operation instead of N ``access`` calls.  The contract is strict:
@@ -38,9 +38,6 @@ __all__ = [
     "_acc",
     "timed_request",
 ]
-
-#: Bus occupancy (cycles) of an address-only invalidate on an SMP bus.
-SMP_INVALIDATE_CYCLES = 2.0
 
 #: One ``access_batch`` call evaluates at most this many references.
 BATCH_CHUNK = 4096
@@ -150,6 +147,9 @@ class MemoryBackend(ABC):
     #: every timed path feeds via :func:`_acc`.  Class attribute so
     #: unprofiled back-ends pay only an attribute read per miss.
     profiler: dict | None = None
+    #: Cycles of an own-cache hit; the engine folds it into the issue
+    #: schedule of its vectorized lane.
+    t_hit: float
 
     def __init__(self, spec: PlatformSpec, home_machine_of_line: np.ndarray) -> None:
         self.spec = spec
@@ -168,6 +168,7 @@ class MemoryBackend(ABC):
     def access(self, proc: int, line: int, is_write: bool, now: float) -> float:
         """Process one reference issued at ``now``; return completion time."""
 
+    @abstractmethod
     def access_batch(
         self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
     ) -> tuple[int, int]:
@@ -191,10 +192,7 @@ class MemoryBackend(ABC):
         engine takes it scalar instead of burning a guaranteed-empty
         batch call on it; a fully consumed window reports
         ``skip = consumed``.
-
-        The default declines every batch; back-ends opt in by overriding.
         """
-        return 0, max(lines.size, 1)
 
     @abstractmethod
     def barrier_overhead(self) -> float:
@@ -245,11 +243,10 @@ def make_backend(spec: PlatformSpec, home_machine_of_line: np.ndarray) -> Memory
 
     Every platform -- the paper's three flat shapes and any deeper
     declarative topology -- is served by the one topology-driven
-    :class:`~repro.sim.backends.composed.ComposedBackend`; the legacy
-    ``SmpBackend``/``CowBackend``/``ClumpBackend`` classes remain as
-    the bit-identity reference implementations.  An unrecognized
-    classification raises a :class:`ValueError` naming the platform and
-    its kind instead of silently falling through to a wrong model.
+    :class:`~repro.sim.backends.composed.ComposedBackend`.  An
+    unrecognized classification raises a :class:`ValueError` naming
+    the platform and its kind instead of silently falling through to a
+    wrong model.
     """
     from repro.sim.backends.composed import ComposedBackend
 

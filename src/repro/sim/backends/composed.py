@@ -1,22 +1,22 @@
 """Topology-driven back-end: one cycle-accounting engine for any tree.
 
 :class:`ComposedBackend` instantiates a platform's memory system from
-its declarative topology (:mod:`repro.topology`) instead of picking one
-of three bespoke classes.  The shape of the tree selects the coherence
-machinery -- a snooping bus inside each multi-processor machine, a
-home-based directory across machines, both for SMP nodes (the paper's
-hybrid protocol) -- and a :class:`Fabric` routes every inter-machine
-message through the interconnect level that is the lowest common
-ancestor of source and destination.
+its declarative topology (:mod:`repro.topology`).  The shape of the
+tree selects the coherence machinery -- a snooping bus inside each
+multi-processor machine, a home-based directory across machines, both
+for SMP nodes (the paper's hybrid protocol) -- and a :class:`Fabric`
+routes every inter-machine message through the interconnect level that
+is the lowest common ancestor of source and destination.
 
-For the paper's three shapes (one machine; flat cluster of
-uniprocessors; flat cluster of SMPs) the composed back-end is
-bit-identical to the legacy ``SmpBackend``/``CowBackend``/
-``ClumpBackend`` in both execution lanes -- same ``SimulationResult``,
-same statistics, same resource counters (property-tested in
-``tests/sim/test_fastpath_equivalence.py``).  Deeper trees -- e.g. a
-CLUMP of SMPs with an intra-rack switch and an inter-rack bus -- are
-expressible only here.
+The paper's five simulators are three shapes of this one back-end: a
+single SMP; a flat cluster of uniprocessors (COW); a flat cluster of
+SMPs (CLUMP), each cluster over a bus or a switch.  Their answers on
+fixed inputs -- results, statistics, resource counters and cycle
+profiles -- are pinned by golden digests
+(``tests/sim/test_backend_golden.py``), in both execution lanes.
+Deeper trees -- e.g. a CLUMP of SMPs with an intra-rack switch and an
+inter-rack bus -- take the same access paths, with the fabric routing
+each message to its level.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.platform import PlatformSpec
 from repro.sim.backends.base import (
     MemoryBackend,
-    SMP_INVALIDATE_CYCLES,
     _acc,
     eligible_prefix,
     timed_request,
@@ -42,6 +41,9 @@ from repro.topology.ir import ClusterNode, Contention, Topology
 
 __all__ = ["ComposedBackend", "Fabric"]
 
+#: Bus occupancy (cycles) of an address-only invalidate on an SMP bus.
+SMP_INVALIDATE_CYCLES = 2.0
+
 
 class Fabric:
     """The interconnect levels of a topology tree, with LCA routing.
@@ -52,8 +54,8 @@ class Fabric:
     message between machines ``a`` and ``b`` crosses exactly one level:
     the innermost one whose instance contains both -- and is queued on
     that instance's bus (one server) or destination switch port,
-    charged that level's remote cost.  For a flat cluster (depth 1)
-    this reduces exactly to the legacy single ``make_network`` model.
+    charged that level's remote cost.  A flat cluster (depth 1) has one
+    instance: a single bus, or a switch with one port per machine.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -84,11 +86,11 @@ class Fabric:
             child_size = under
         #: Cycle-attribution sink (shared with the owning back-end).
         self.profiler: dict | None = None
-        #: Profile node id per level.  A flat cluster keeps the legacy
-        #: ``"network"`` name (so legacy-vs-composed profiles compare
-        #: equal); deeper trees name each level by its IR label, which
-        #: is how a CLUMP-of-SMPs profile shows the intra-rack switch
-        #: separately from the inter-rack bus.
+        #: Profile node id per level.  A flat cluster's one level is
+        #: plain ``"network"``, the name the docs and the pinned
+        #: profiles use; deeper trees name each level by its IR label,
+        #: which is how a CLUMP-of-SMPs profile shows the intra-rack
+        #: switch separately from the inter-rack bus.
         if len(self._under) == 1:
             self.node_names = ["network"]
         else:
@@ -278,7 +280,7 @@ class ComposedBackend(MemoryBackend):
         return self._batch_impl(proc, lines, writes, now)
 
     # ------------------------------------------------------------------
-    # one machine (the legacy SMP shape)
+    # one machine (the SMP shape)
     # ------------------------------------------------------------------
     def _access_smp(self, proc: int, line: int, is_write: bool, now: float) -> float:
         st = self.stats
@@ -332,9 +334,16 @@ class ComposedBackend(MemoryBackend):
     def _batch_smp(
         self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
     ) -> tuple[int, int]:
-        # Eligible: own-cache read hits, plus (no shared L2) write hits
-        # to lines no peer holds -- already-dirty lines wholesale, clean
-        # upgrades peer-checked individually (see SmpBackend history).
+        # Eligible: own-cache read hits, plus -- when there is no
+        # shared L2 (a store must invalidate its L2 copy, which the
+        # scalar path handles) -- write hits to lines no peer holds.
+        # Lines already dirty in the issuing cache qualify wholesale:
+        # write-invalidate keeps dirty lines exclusive (a peer read
+        # downgrades M->S, a peer write invalidates).  The few write
+        # hits to clean lines per window (typically right after a fill)
+        # are checked against the peers individually; a peer-free one
+        # is a silent upgrade and marks the line dirty, exactly as the
+        # scalar path would.
         cache = self.caches[proc]
         ok, slots = cache.residency(lines)
         k, skip = eligible_prefix(ok)
@@ -373,7 +382,7 @@ class ComposedBackend(MemoryBackend):
         return k, k + 1 if k < lines.size else k
 
     # ------------------------------------------------------------------
-    # cluster of uniprocessor machines (the legacy COW shape)
+    # cluster of uniprocessor machines (the COW shape)
     # ------------------------------------------------------------------
     def _invalidate_l2_block(self, machine: int, block: int) -> None:
         l2 = self.l2s[machine]
@@ -507,7 +516,7 @@ class ComposedBackend(MemoryBackend):
         return k, k + 1 if k < lines.size else k
 
     # ------------------------------------------------------------------
-    # cluster of SMP machines (the legacy CLUMP shape, any depth)
+    # cluster of SMP machines (the CLUMP shape, any depth)
     # ------------------------------------------------------------------
     def _access_clump(self, proc: int, line: int, is_write: bool, now: float) -> float:
         st = self.stats

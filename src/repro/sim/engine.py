@@ -39,13 +39,7 @@ from repro.faults.inject import F_DELAY, F_STALL, F_SLOW, compile_triggers
 from repro.faults.plan import FaultPlan
 from repro.obs.profile import CycleProfile
 from repro.obs.timeline import Timeline, TimelineRecorder
-from repro.sim.backends.base import (
-    BATCH_CHUNK,
-    BackendStats,
-    MemoryBackend,
-    _acc,
-    make_backend,
-)
+from repro.sim.backends.base import BATCH_CHUNK, BackendStats, _acc, make_backend
 
 __all__ = ["SimulationEngine", "SimulationResult"]
 
@@ -135,7 +129,6 @@ class SimulationEngine:
         self,
         spec: PlatformSpec,
         run: ApplicationRun,
-        backend: MemoryBackend | None = None,
         horizon: float = 200.0,
         fastpath: bool = True,
         sample_every: float | None = None,
@@ -184,9 +177,8 @@ class SimulationEngine:
             if fault_plan is not None and fault_plan
             else None
         )
-        if backend is None:
-            home_proc = run.address_space.home_map()
-            backend = make_backend(spec, (home_proc // spec.n).astype(np.int64))
+        home_proc = run.address_space.home_map()
+        backend = make_backend(spec, (home_proc // spec.n).astype(np.int64))
         self.backend = backend
         if fault_plan is not None and fault_plan:
             spikes = fault_plan.network_extra
@@ -201,22 +193,17 @@ class SimulationEngine:
         self._barrier_lists = [t.barriers.tolist() for t in run.traces]
         self._lengths = [t.memory_instructions for t in run.traces]
         self._tail_works = [t.tail_work for t in run.traces]
-        # The vectorized lane needs two things from the back-end: an
-        # access_batch override and a fixed hit latency.  Timing then
-        # lives entirely in the engine as per-trace prefix sums of the
-        # all-hit step cost (compute padding + 1-cycle issue + t_hit):
+        # The vectorized lane leaves timing entirely to the engine, as
+        # per-trace prefix sums of the all-hit step cost (compute
+        # padding + 1-cycle issue + the back-end's fixed t_hit):
         # an eligible run of k references starting at index i advances
         # the clock by sched[i+k-1] - sched[i-1], and the causality cut
         # is a single searchsorted.  Work and latencies are small
         # multiples of 0.25 cycles, far below 2**53, so these float64
         # sums are exact and bit-identical to scalar stepping.
-        self._batch_ready = (
-            fastpath
-            and type(self.backend).access_batch is not MemoryBackend.access_batch
-            and hasattr(self.backend, "t_hit")
-        )
-        if self._batch_ready:
-            step = 1.0 + float(self.backend.t_hit)
+        self._batch_ready = fastpath
+        if fastpath:
+            step = 1.0 + float(backend.t_hit)
             self._scheds = [(t.work + step).cumsum() for t in run.traces]
         else:
             self._scheds = None
@@ -256,7 +243,7 @@ class SimulationEngine:
             refs_before = backend.stats.references
         compute_cycles = 0.0  #: issue + padding work attributed to "cpu"
         slow_extra = 0.0  #: extra compute charged by F_SLOW windows
-        t_hit_f = float(getattr(backend, "t_hit", 0.0))
+        t_hit_f = float(backend.t_hit)
 
         clock = [0.0] * P
         index = [0] * P

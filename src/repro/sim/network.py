@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.sim.latencies import NetworkKind
 from repro.sim.memory import Server
 
-__all__ = ["ClusterNetwork", "BusNetwork", "SwitchNetwork", "make_network", "CONTROL_FRACTION"]
+__all__ = ["ClusterNetwork", "BusNetwork", "SwitchNetwork", "CONTROL_FRACTION"]
 
 #: An address-only protocol message (invalidate, ack) relative to a full
 #: 256-byte block transfer: roughly one quarter (64-byte minimum frame).
@@ -108,8 +108,3 @@ class SwitchNetwork(ClusterNetwork):
     @property
     def busy_cycles(self) -> float:
         return sum(p.busy_cycles for p in self._ports)
-
-
-def make_network(kind: NetworkKind, machines: int) -> ClusterNetwork:
-    """Instantiate the right topology for a network kind."""
-    return BusNetwork(kind, machines) if kind.is_bus else SwitchNetwork(kind, machines)

@@ -63,10 +63,7 @@ class WorkloadParams:
     sharing_fresh_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 1.0):
-            raise ValueError(f"alpha must be > 1, got {self.alpha!r}")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        StackDistanceModel(self.alpha, self.beta)  # alpha > 1, beta > 0, both finite
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
         if not (0.0 <= self.sharing_fraction <= 1.0):

@@ -153,13 +153,13 @@ class TestCustomLatencies:
     def test_simulator_uses_overridden_latencies(self):
         import numpy as np
 
-        from repro.sim.backends.smp import SmpBackend
+        from repro.sim.backends import make_backend
         from repro.sim.latencies import LatencyTable
 
         spec = _spec(
             cache_bytes=4 * KB, memory_bytes=1 * MB,
             latencies=LatencyTable(cache_to_memory=500),
         )
-        b = SmpBackend(spec, np.zeros(1000, dtype=np.int64))
+        b = make_backend(spec, np.zeros(1000, dtype=np.int64))
         b.memory.access(0)
         assert b.access(0, 8, False, 0.0) == pytest.approx(1.0 + 500.0)

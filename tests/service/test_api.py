@@ -10,6 +10,7 @@ contracts the service advertises.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -51,6 +52,15 @@ class TestParsing:
     def test_unknown_workload_is_a_query_error(self):
         with pytest.raises(QueryError, match="unknown workload"):
             workload_from_obj({"workload": "nope"})
+        with pytest.raises(QueryError, match="'workload' must be a string"):
+            workload_from_obj({"workload": ["FFT"], "machines": 2})
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_non_finite_locality_is_a_query_error(self, key):
+        body = {"alpha": 1.5, "beta": 5.0, "gamma": 0.3, "machines": 2}
+        body[key] = json.loads("1e999")
+        with pytest.raises(QueryError, match="alpha and beta must be finite"):
+            workload_from_obj(body)
 
     def test_missing_params_is_a_query_error(self):
         with pytest.raises(QueryError, match="alpha"):
@@ -75,6 +85,8 @@ class TestParsing:
             platform_from_obj({"machines": 2.5})
         with pytest.raises(QueryError, match="network"):
             platform_from_obj({"network": "token-ring"})
+        with pytest.raises(QueryError, match="'network' must be a string"):
+            platform_from_obj({"workload": "FFT", "network": ["atm"]})
 
     def test_bad_mode_is_a_query_error(self):
         with pytest.raises(QueryError, match="mode"):

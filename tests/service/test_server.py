@@ -196,6 +196,32 @@ class TestAdmission:
             assert obj["e_instr_seconds"] == direct.e_instr_seconds
         assert batched == len(bodies), "requests must actually coalesce"
 
+    def test_a_bad_request_fails_alone(self):
+        # An infinite alpha (JSON 1e999) is rejected at parse time, so
+        # it never joins the wave the valid request rides.
+        config = ServiceConfig(jobs=1).with_policy(
+            "predict", coalesce_window=0.25, max_batch=64
+        )
+        bodies = [
+            {"workload": "FFT", **PLATFORM},
+            {"alpha": float("inf"), "beta": 5, "gamma": 0.3, **PLATFORM},
+        ]
+
+        def client(request, service):
+            import concurrent.futures
+
+            with concurrent.futures.ThreadPoolExecutor(len(bodies)) as pool:
+                futs = [
+                    pool.submit(request, "POST", "/v1/predict", body)
+                    for body in bodies
+                ]
+                return [f.result() for f in futs]
+
+        (ok_status, ok), (bad_status, bad) = drive(client, config=config)
+        assert ok_status == 200 and ok["e_instr_seconds"] > 0
+        assert bad_status == 400
+        assert "alpha and beta must be finite" in bad["error"]
+
     def test_riders_are_fixed_before_a_slow_dependency(self):
         # A rides the wave that leaves at 0.05 s and pays the injected
         # 1 s delay; B arrives during that delay and must wait for the

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.platform import PlatformSpec
-from repro.sim.backends import ClumpBackend, CowBackend, SmpBackend
+from repro.sim.backends import make_backend
 from repro.sim.latencies import NetworkKind
 
 KB = 1024
@@ -57,7 +57,7 @@ class TestSmpInvariants:
     @settings(max_examples=60, deadline=None)
     def test_counters_account_for_every_reference(self, stream):
         spec = PlatformSpec(name="p", n=4, N=1, cache_bytes=1 * KB, memory_bytes=256 * KB)
-        b = SmpBackend(spec, _home(machines=1))
+        b = make_backend(spec, _home(machines=1))
         _drive(b, stream, 4)
         _check_counters(b, stream)
 
@@ -65,7 +65,7 @@ class TestSmpInvariants:
     @settings(max_examples=60, deadline=None)
     def test_time_moves_forward(self, stream):
         spec = PlatformSpec(name="p", n=4, N=1, cache_bytes=1 * KB, memory_bytes=256 * KB)
-        b = SmpBackend(spec, _home(machines=1))
+        b = make_backend(spec, _home(machines=1))
         clock = 0.0
         for proc, line, write in stream:
             finish = b.access(proc % 4, line, write, clock + 1.0)
@@ -77,7 +77,7 @@ class TestSmpInvariants:
     def test_no_line_cached_twice_dirty(self, stream):
         """At most one cache may hold a line dirty (write-invalidate)."""
         spec = PlatformSpec(name="p", n=4, N=1, cache_bytes=1 * KB, memory_bytes=256 * KB)
-        b = SmpBackend(spec, _home(machines=1))
+        b = make_backend(spec, _home(machines=1))
         _drive(b, stream, 4)
         for line in {line for _, line, _ in stream}:
             dirty_holders = sum(1 for c in b.caches if c.is_dirty(line))
@@ -88,7 +88,7 @@ class TestSmpInvariants:
     def test_written_line_exclusive(self, stream):
         """After any write, no other cache still holds the line."""
         spec = PlatformSpec(name="p", n=2, N=1, cache_bytes=1 * KB, memory_bytes=256 * KB)
-        b = SmpBackend(spec, _home(machines=1))
+        b = make_backend(spec, _home(machines=1))
         last_writer: dict[int, int] = {}
         clocks = [0.0, 0.0]
         for proc, line, write in stream:
@@ -111,11 +111,11 @@ class TestCowInvariants:
             name="p", n=1, N=4, cache_bytes=1 * KB, memory_bytes=256 * KB,
             network=NetworkKind.ATM_155,
         )
-        b = CowBackend(spec, _home(machines=4))
+        b = make_backend(spec, _home(machines=4))
         _drive(b, stream, 4)
         _check_counters(b, stream)
         # directory exclusivity: a dirty block's lines live only at the owner
-        for block, owner in list(b.directory._owner.items()):
+        for block, owner in list(b.protocol.directory._owner.items()):
             for m, cache in enumerate(b.caches):
                 if m == owner:
                     continue
@@ -131,7 +131,7 @@ class TestCowInvariants:
                 name="p", n=1, N=4, cache_bytes=1 * KB, memory_bytes=256 * KB,
                 network=net,
             )
-            b = CowBackend(spec, _home(machines=4))
+            b = make_backend(spec, _home(machines=4))
             _drive(b, stream, 4)
             s = b.stats
             return (s.cache_hits, s.local_memory, s.remote_clean, s.remote_dirty)
@@ -147,6 +147,6 @@ class TestClumpInvariants:
             name="p", n=2, N=2, cache_bytes=1 * KB, memory_bytes=256 * KB,
             network=NetworkKind.ETHERNET_100,
         )
-        b = ClumpBackend(spec, _home(machines=2))
+        b = make_backend(spec, _home(machines=2))
         _drive(b, stream, 4)
         _check_counters(b, stream)

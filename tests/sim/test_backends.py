@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.platform import PlatformSpec
-from repro.sim.backends import (
-    ClumpBackend,
-    ComposedBackend,
-    CowBackend,
-    SmpBackend,
-    make_backend,
-)
+from repro.sim.backends import ComposedBackend, make_backend
 from repro.sim.latencies import NetworkKind
 
 KB = 1024
@@ -27,21 +21,21 @@ def _home_split(machines, items=10_000):
 
 def smp_backend(n=2):
     spec = PlatformSpec(name="s", n=n, N=1, cache_bytes=2 * KB, memory_bytes=256 * KB)
-    return SmpBackend(spec, _home_all_zero())
+    return make_backend(spec, _home_all_zero())
 
 
 def cow_backend(net=NetworkKind.ETHERNET_100, N=2):
     spec = PlatformSpec(
         name="c", n=1, N=N, cache_bytes=2 * KB, memory_bytes=256 * KB, network=net
     )
-    return CowBackend(spec, _home_split(N))
+    return make_backend(spec, _home_split(N))
 
 
 def clump_backend(net=NetworkKind.ETHERNET_100):
     spec = PlatformSpec(
         name="k", n=2, N=2, cache_bytes=2 * KB, memory_bytes=256 * KB, network=net
     )
-    return ClumpBackend(spec, _home_split(2))
+    return make_backend(spec, _home_split(2))
 
 
 class TestFactory:
@@ -67,15 +61,6 @@ class TestFactory:
         assert "alien-platform" in msg
         assert "a hypercube of accelerators" in msg
         assert "SMP" in msg and "COW" in msg and "CLUMP" in msg
-
-    def test_shape_validation(self, smp_spec, cow_spec, clump_spec):
-        home = _home_all_zero()
-        with pytest.raises(ValueError):
-            CowBackend(smp_spec, home)
-        with pytest.raises(ValueError):
-            SmpBackend(cow_spec, home)
-        with pytest.raises(ValueError):
-            ClumpBackend(cow_spec, home)
 
 
 class TestSmpTiming:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.apps.base import AddressSpace, ApplicationRun
 from repro.core.platform import PlatformSpec
-from repro.sim.backends import ClumpBackend, CowBackend, SmpBackend
 from repro.sim.engine import SimulationEngine
 from repro.sim.latencies import NetworkKind
 from repro.topology.canned import deepen_spec
@@ -123,49 +122,6 @@ def test_lu_identical(spec, lu_run_4):
     scalar = SimulationEngine(spec, lu_run_4, fastpath=False).execute()
     batched = SimulationEngine(spec, lu_run_4, fastpath=True).execute()
     _assert_identical(scalar, batched)
-
-
-def _legacy_backend(spec, run):
-    """The bespoke pre-topology back-end for ``spec`` (the bit-identity
-    reference the composed back-end is checked against)."""
-    home_proc = run.address_space.home_map()
-    home = (home_proc // spec.n).astype(np.int64)
-    cls = SmpBackend if spec.N == 1 else (CowBackend if spec.n == 1 else ClumpBackend)
-    return cls(spec, home)
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("fastpath", [False, True], ids=["scalar", "batched"])
-def test_composed_matches_legacy_backends(spec, seed, fastpath):
-    """The topology-driven ComposedBackend is bit-identical to the
-    bespoke SMP/COW/CLUMP back-ends it replaced -- results, stats, and
-    per-resource accounting -- in both engine lanes."""
-    run = _random_run(spec.total_processors, seed)
-    legacy_engine = SimulationEngine(
-        spec, run, backend=_legacy_backend(spec, run), fastpath=fastpath
-    )
-    composed_engine = SimulationEngine(spec, run, fastpath=fastpath)
-    legacy = legacy_engine.execute()
-    composed = composed_engine.execute()
-    _assert_identical(legacy, composed)
-    assert (
-        composed_engine.backend.resource_busy_cycles()
-        == legacy_engine.backend.resource_busy_cycles()
-    )
-    assert (
-        composed_engine.backend.resource_requests()
-        == legacy_engine.backend.resource_requests()
-    )
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
-def test_composed_matches_legacy_on_fft(spec, fft_run_4):
-    legacy = SimulationEngine(
-        spec, fft_run_4, backend=_legacy_backend(spec, fft_run_4)
-    ).execute()
-    composed = SimulationEngine(spec, fft_run_4).execute()
-    _assert_identical(legacy, composed)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)

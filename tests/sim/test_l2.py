@@ -7,8 +7,7 @@ from repro.core.execution import evaluate
 from repro.core.hierarchy import LevelKind
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
-from repro.sim.backends.smp import SmpBackend
-from repro.sim.backends.cow import CowBackend
+from repro.sim.backends import make_backend
 from repro.sim.latencies import NetworkKind
 
 KB = 1024
@@ -76,7 +75,7 @@ class TestModelSide:
 class TestSimulatorSide:
     def test_l2_hit_cheaper_than_memory(self):
         spec = _smp_l2()
-        b = SmpBackend(spec, np.zeros(10_000, dtype=np.int64))
+        b = make_backend(spec, np.zeros(10_000, dtype=np.int64))
         b.memory.access(0)  # pre-fault the page
         t_miss = b.access(0, 8, False, 0.0) - 0.0  # L1+L2 miss -> memory
         # evict line 8 from the single L1 that holds it, keep it in L2
@@ -88,7 +87,7 @@ class TestSimulatorSide:
 
     def test_write_invalidates_l2_copy(self):
         spec = _smp_l2()
-        b = SmpBackend(spec, np.zeros(10_000, dtype=np.int64))
+        b = make_backend(spec, np.zeros(10_000, dtype=np.int64))
         b.memory.access(0)
         b.access(0, 8, False, 0.0)  # fills L1 and L2
         b.access(0, 8, True, 0.0)  # write hit: L2 copy must die
@@ -102,7 +101,7 @@ class TestSimulatorSide:
             l2_bytes=16 * KB, network=NetworkKind.ATM_155,
         )
         home = np.zeros(10_000, dtype=np.int64)  # everything homed on machine 0
-        b = CowBackend(spec, home)
+        b = make_backend(spec, home)
         b.memories[0].access(0)
         b.access(0, 8, False, 0.0)
         b.caches[0].invalidate(8)

@@ -1,10 +1,13 @@
 """Tests for FCFS servers, paged memory and the two network topologies."""
 
+import numpy as np
 import pytest
 
+from repro.core.platform import PlatformSpec
+from repro.sim.backends import make_backend
 from repro.sim.latencies import NetworkKind
 from repro.sim.memory import PAGE_ITEMS, PagedMemory, Server, page_of
-from repro.sim.network import CONTROL_FRACTION, BusNetwork, SwitchNetwork, make_network
+from repro.sim.network import CONTROL_FRACTION, BusNetwork, SwitchNetwork
 
 
 class TestServer:
@@ -64,9 +67,17 @@ class TestPagedMemory:
 
 class TestNetworks:
     def test_factory_topologies(self):
-        assert isinstance(make_network(NetworkKind.ETHERNET_10, 4), BusNetwork)
-        assert isinstance(make_network(NetworkKind.ETHERNET_100, 4), BusNetwork)
-        assert isinstance(make_network(NetworkKind.ATM_155, 4), SwitchNetwork)
+        def network(kind):
+            spec = PlatformSpec(
+                name="c", n=1, N=4, cache_bytes=2048, memory_bytes=256 * 1024,
+                network=kind,
+            )
+            (net,) = make_backend(spec, np.zeros(16, dtype=np.int64)).fabric._instances[0]
+            return net
+
+        assert isinstance(network(NetworkKind.ETHERNET_10), BusNetwork)
+        assert isinstance(network(NetworkKind.ETHERNET_100), BusNetwork)
+        assert isinstance(network(NetworkKind.ATM_155), SwitchNetwork)
 
     def test_bus_serializes_everything(self):
         net = BusNetwork(NetworkKind.ETHERNET_100, 4)

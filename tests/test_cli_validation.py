@@ -94,6 +94,26 @@ class TestNumericValidation:
         assert str(exc.value.code).startswith(message)
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--alpha", "0.5", "--beta", "5", "--gamma", "0.3"],
+             "predict: bad workload: alpha must be > 1"),
+            (["predict", "--alpha", "inf", "--beta", "5", "--gamma", "0.3"],
+             "predict: bad workload: alpha and beta must be finite"),
+            (["design", "--alpha", "0.5", "--beta", "5", "--gamma", "0.3",
+              "--budget", "8000"],
+             "design: bad workload: alpha must be > 1"),
+        ],
+        ids=["predict-alpha-below-one", "predict-alpha-inf", "design-alpha-below-one"],
+    )
+    def test_bad_workload_is_a_clean_exit(self, argv, message):
+        """A locality triple the model cannot take exits with the command
+        and the parameters' own reason, not a ValueError traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(message)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--app", "FFT", "--jobs", "0"],
