@@ -198,37 +198,36 @@ class MemoryBackend(ABC):
     def barrier_overhead(self) -> float:
         """Fixed cycles added when a barrier releases (sync transactions)."""
 
+    @abstractmethod
     def install_network_spikes(self, extra_of_time) -> None:
         """Install the fault-injection network-latency hook.
 
         ``extra_of_time(now) -> cycles`` is added to the service time of
         every inter-node message issued at ``now`` (see
         :class:`~repro.faults.plan.NetworkSpike`).  Back-ends with a
-        cluster network forward the hook to it; the default is a no-op
-        because an SMP has no inter-node network to perturb.  Batched
+        cluster network forward the hook to it; on an SMP, which has no
+        inter-node network to perturb, it is a no-op.  Batched
         references are always pure-local cache hits, so the hook can
         never affect the vectorized lane -- both lanes stay
         bit-identical under any spike schedule.
         """
 
+    @abstractmethod
     def resource_busy_cycles(self) -> dict[str, float]:
         """Busy cycles per serialized resource (bus, network, disks...).
 
         Divided by the simulated span this is each resource's
-        utilization -- the designer's bottleneck question.  Subclasses
-        override; the default reports nothing.
+        utilization -- the designer's bottleneck question.
         """
-        return {}
 
+    @abstractmethod
     def resource_requests(self) -> dict[str, int]:
         """Cumulative request counts per serialized resource.
 
         Same keys as :meth:`resource_busy_cycles`; the interval sampler
         diffs both so a timeline shows traffic (requests per window)
-        alongside occupancy.  Subclasses override together with
-        :meth:`resource_busy_cycles`; the default reports nothing.
+        alongside occupancy.
         """
-        return {}
 
     def home_of_line(self, line: int) -> int:
         """Home machine of a line; data beyond the mapped space is

@@ -384,12 +384,6 @@ class ComposedBackend(MemoryBackend):
     # ------------------------------------------------------------------
     # cluster of uniprocessor machines (the COW shape)
     # ------------------------------------------------------------------
-    def _invalidate_l2_block(self, machine: int, block: int) -> None:
-        l2 = self.l2s[machine]
-        base = block * LINES_PER_BLOCK
-        for l in range(base, base + LINES_PER_BLOCK):
-            l2.invalidate(l)
-
     def _home_memory_time(self, t: float, home: int, line: int) -> float:
         """Charge the home machine's memory (and disk on a page fault)."""
         if self.memories[home].access(page_of(line)):
@@ -416,11 +410,11 @@ class ComposedBackend(MemoryBackend):
                     st.invalidations += len(out.invalidated_machines)
                     if self.l2s is not None:
                         for m in out.invalidated_machines:
-                            self._invalidate_l2_block(m, block)
+                            self.l2s[m].invalidate_block(block)
                     if out.data_source is not None:
                         st.writebacks += 1
                         if self.l2s is not None:
-                            self._invalidate_l2_block(out.data_source, block)
+                            self.l2s[out.data_source].invalidate_block(block)
                         t = self.fabric.transfer(
                             t, out.data_source, machine, dirty=True,
                             cause="coherence",
@@ -451,7 +445,7 @@ class ComposedBackend(MemoryBackend):
         st.invalidations += len(out.invalidated_machines)
         if self.l2s is not None:
             for m in out.invalidated_machines:
-                self._invalidate_l2_block(m, block)
+                self.l2s[m].invalidate_block(block)
         if out.evicted is not None and out.evicted[1]:
             st.writebacks += 1
             ev_home = self.home_of_line(out.evicted[0])
@@ -464,7 +458,7 @@ class ComposedBackend(MemoryBackend):
         if out.serve is HybridServe.REMOTE_DIRTY:
             st.remote_dirty += 1
             if is_write and self.l2s is not None:
-                self._invalidate_l2_block(out.data_source, block)
+                self.l2s[out.data_source].invalidate_block(block)
             return self.fabric.transfer(
                 t, out.data_source, machine, dirty=True, cause="remote_dirty"
             )
@@ -529,10 +523,9 @@ class ComposedBackend(MemoryBackend):
         out = self.protocol.access(machine, local_proc, line, is_write)
         if self.l2s is not None and is_write:
             self.l2s[machine].invalidate(line)
-            base = (line // LINES_PER_BLOCK) * LINES_PER_BLOCK
+            block = block_of(line)
             for m in out.invalidated_machines:
-                for l in range(base, base + LINES_PER_BLOCK):
-                    self.l2s[m].invalidate(l)
+                self.l2s[m].invalidate_block(block)
         st.invalidations += len(out.invalidated_machines) + out.local_invalidations
         if out.writeback:
             st.writebacks += 1

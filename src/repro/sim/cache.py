@@ -6,17 +6,27 @@ line-granular (items), so the set index is simply ``line % num_sets``.
 
 State lives in three ``(num_sets, ways)`` arrays -- ``tags`` (the line
 held by each slot, -1 when empty), ``stamps`` (per-slot LRU ticks from
-one global counter) and ``dirty`` flags.  The scalar operations walk one
-set's ``ways`` slots directly (a set never holds more than ``ways``
-entries, so eviction is a min over ``ways`` stamps); the ``*_batch``
-methods evaluate whole address vectors in single array operations, which
-is what the execution engine's vectorized fast path is built on.  Both
-paths produce bit-identical cache state.
+one global counter) and ``dirty`` flags -- plus a ``line -> flat slot``
+dict, the slot index.  The index holds exactly the resident lines: line
+``l`` maps to slot ``s`` if and only if ``tags.flat[s] == l``.  Every
+method that changes a tag (``fill``, ``invalidate``,
+``invalidate_block``, ``clear``) updates it in the same step, so the
+scalar queries answer with one dict lookup instead of scanning a set's
+tags, and a directory invalidation of a block costs only what the cache
+holds of it.  Eviction still reads the set's ``ways`` slots (a set never
+holds more than ``ways`` entries, so it is a min over ``ways`` stamps).
+The batch methods (``residency``, ``dirty_at``, ``touch_positions``)
+evaluate whole address vectors in single array operations on the arrays
+alone, which is what the execution engine's vectorized fast path is
+built on; they change stamps and dirty flags, never tags.  Both paths
+produce bit-identical cache state.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.sim.directory import LINES_PER_BLOCK
 
 __all__ = ["SetAssociativeCache"]
 
@@ -37,6 +47,7 @@ class SetAssociativeCache:
         "_flat_tags",
         "_flat_stamps",
         "_flat_dirty",
+        "_slot_of",
         "_tick",
     )
 
@@ -56,24 +67,17 @@ class SetAssociativeCache:
         self._flat_tags = self._tags.ravel()
         self._flat_stamps = self._stamps.ravel()
         self._flat_dirty = self._dirty.ravel()
+        #: The slot index: flat slot of every resident line.
+        self._slot_of: dict[int, int] = {}
         self._tick = 0
 
     # ------------------------------------------------------------------
     # scalar path
     # ------------------------------------------------------------------
-    def _slot(self, line: int) -> int:
-        """Flat slot index holding ``line``, or -1 when absent."""
-        base = (line % self.num_sets) * self.ways
-        tags = self._flat_tags
-        for pos in range(base, base + self.ways):
-            if tags[pos] == line:
-                return pos
-        return -1
-
     def lookup(self, line: int, touch: bool = True) -> bool:
         """True if ``line`` is resident; refresh its LRU stamp if asked."""
-        pos = self._slot(line)
-        if pos < 0:
+        pos = self._slot_of.get(line)
+        if pos is None:
             return False
         if touch:
             self._tick += 1
@@ -82,7 +86,7 @@ class SetAssociativeCache:
 
     def contains(self, line: int) -> bool:
         """Presence check without disturbing LRU order."""
-        return self._slot(line) >= 0
+        return line in self._slot_of
 
     def fill(self, line: int, dirty: bool = False) -> tuple[int, bool] | None:
         """Insert ``line``; return ``(evicted_line, was_dirty)`` if any.
@@ -91,64 +95,76 @@ class SetAssociativeCache:
         stamp (and may add the dirty mark); nothing is evicted.
         """
         self._tick += 1
+        slot_of = self._slot_of
+        stamps = self._flat_stamps
+        pos = slot_of.get(line)
+        if pos is not None:
+            stamps[pos] = self._tick
+            if dirty:
+                self._flat_dirty[pos] = True
+            return None
         base = (line % self.num_sets) * self.ways
         tags = self._flat_tags
-        stamps = self._flat_stamps
-        empty = -1
+        evicted = None
         victim = -1
         for pos in range(base, base + self.ways):
-            tag = tags[pos]
-            if tag == line:
-                stamps[pos] = self._tick
-                if dirty:
-                    self._flat_dirty[pos] = True
-                return None
-            if tag < 0:
-                if empty < 0:
-                    empty = pos
-            elif victim < 0 or stamps[pos] < stamps[victim]:
+            if tags[pos] < 0:
+                break  # the first empty slot
+            if victim < 0 or stamps[pos] < stamps[victim]:
                 victim = pos
-        evicted = None
-        if empty >= 0:
-            pos = empty
         else:
             pos = victim
-            evicted = (int(tags[pos]), bool(self._flat_dirty[pos]))
+            old = int(tags[pos])
+            del slot_of[old]
+            evicted = (old, bool(self._flat_dirty[pos]))
         tags[pos] = line
         stamps[pos] = self._tick
         self._flat_dirty[pos] = dirty
+        slot_of[line] = pos
         return evicted
 
     def mark_dirty(self, line: int) -> None:
         """Flag a resident line as modified (no-op if absent)."""
-        pos = self._slot(line)
-        if pos >= 0:
+        pos = self._slot_of.get(line)
+        if pos is not None:
             self._flat_dirty[pos] = True
 
     def is_dirty(self, line: int) -> bool:
-        pos = self._slot(line)
-        return pos >= 0 and bool(self._flat_dirty[pos])
+        pos = self._slot_of.get(line)
+        return pos is not None and bool(self._flat_dirty[pos])
 
     def clean(self, line: int) -> bool:
         """Clear a resident line's dirty mark (coherence downgrade M->S).
 
         Returns whether the line was dirty (a write-back happened).
         """
-        pos = self._slot(line)
-        if pos >= 0 and self._flat_dirty[pos]:
+        pos = self._slot_of.get(line)
+        if pos is not None and self._flat_dirty[pos]:
             self._flat_dirty[pos] = False
             return True
         return False
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; return whether it was dirty."""
-        pos = self._slot(line)
-        if pos < 0:
+        pos = self._slot_of.pop(line, None)
+        if pos is None:
             return False
         was_dirty = bool(self._flat_dirty[pos])
         self._flat_tags[pos] = -1
         self._flat_dirty[pos] = False
         return was_dirty
+
+    def invalidate_block(self, block: int) -> None:
+        """Drop every resident line of directory block ``block`` (its
+        ``LINES_PER_BLOCK`` lines), touching only the slots that hold
+        one: the directory's block-granular invalidation."""
+        pop = self._slot_of.pop
+        first = block * LINES_PER_BLOCK
+        for line in range(first, first + LINES_PER_BLOCK):
+            pos = pop(line, None)
+            if pos is not None:
+                self._flat_tags[pos] = -1
+                self._flat_dirty[pos] = False
 
     # ------------------------------------------------------------------
     # batch path (the engine's vectorized fast lane)
@@ -189,3 +205,4 @@ class SetAssociativeCache:
     def clear(self) -> None:
         self._tags.fill(-1)
         self._dirty.fill(False)
+        self._slot_of.clear()

@@ -78,7 +78,7 @@ class DirServe(str, Enum):
     REMOTE_DIRTY = "remotely cached data"  #: fetched from the dirty owner
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DirectoryOutcome:
     """Classification of one miss-level cluster access."""
 

@@ -201,7 +201,6 @@ class SimulationEngine:
         # is a single searchsorted.  Work and latencies are small
         # multiples of 0.25 cycles, far below 2**53, so these float64
         # sums are exact and bit-identical to scalar stepping.
-        self._batch_ready = fastpath
         if fastpath:
             step = 1.0 + float(backend.t_hit)
             self._scheds = [(t.work + step).cumsum() for t in run.traces]
@@ -219,7 +218,7 @@ class SimulationEngine:
         barrier_lists = self._barrier_lists
         lengths = self._lengths
         tail_works = self._tail_works
-        use_batch = self._batch_ready
+        use_batch = self.fastpath
         min_batch = self.MIN_BATCH
         min_window = self.MIN_WINDOW
         # Interval sampling: rec stays None on the default path, so the

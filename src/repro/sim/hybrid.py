@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from repro.sim.directory import Directory, LINES_PER_BLOCK, block_of
+from repro.sim.directory import Directory, block_of
 from repro.sim.snoop import SnoopSource, SnoopingBus
 
 __all__ = ["HybridServe", "HybridOutcome", "HybridProtocol"]
@@ -37,10 +37,12 @@ class HybridServe(str, Enum):
     REMOTE_DIRTY = "remotely cached data"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HybridOutcome:
     serve: HybridServe
-    home: int  #: home machine of the block
+    #: Home machine of the block; resolved only when the access went to
+    #: the directory (None on own-cache and peer-cache hits).
+    home: int | None
     data_source: int | None  #: machine that supplied dirty data, if any
     invalidated_machines: tuple[int, ...]
     local_invalidations: int  #: intra-SMP copies killed by a write upgrade
@@ -62,10 +64,8 @@ class HybridProtocol:
 
     # ------------------------------------------------------------------
     def _invalidate_block_at(self, machine: int, block: int) -> None:
-        base = block * LINES_PER_BLOCK
-        snoop = self.snoops[machine]
-        for l in range(base, base + LINES_PER_BLOCK):
-            snoop.invalidate_line(l)
+        for cache in self.snoops[machine].caches:
+            cache.invalidate_block(block)
 
     def access(self, machine: int, local_proc: int, line: int, is_write: bool) -> HybridOutcome:
         """Resolve one access by processor ``local_proc`` of ``machine``."""
@@ -92,7 +92,7 @@ class HybridProtocol:
                     self._invalidate_block_at(data_source, block)
             return HybridOutcome(
                 serve=serve,
-                home=self.directory.home_of_block(block),
+                home=None,
                 data_source=data_source,
                 invalidated_machines=invalidated,
                 local_invalidations=len(local.invalidated),

@@ -30,7 +30,7 @@ class SnoopSource(str, Enum):
     MEMORY = "memory"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SnoopOutcome:
     source: SnoopSource
     invalidated: tuple[int, ...]  #: local processor ids whose copy died
@@ -59,45 +59,43 @@ class SnoopingBus:
         Updates cache and sharing state; the returned outcome tells the
         back-end which latency class applies.
         """
-        own = self.caches[proc]
-        invalidated: list[int] = []
-        writeback = False
-
+        caches = self.caches
+        own = caches[proc]
         if own.lookup(line):
-            if is_write:
-                # Upgrade: kill any other copies, then write locally.
-                for q, cache in enumerate(self.caches):
-                    if q != proc and cache.contains(line):
-                        cache.invalidate(line)
-                        invalidated.append(q)
-                self.invalidations += len(invalidated)
-                own.mark_dirty(line)
+            if not is_write:
+                return SnoopOutcome(SnoopSource.OWN_CACHE, (), False)
+            # Upgrade: kill any other copies, then write locally.
+            invalidated = [
+                q for q, c in enumerate(caches) if q != proc and c.contains(line)
+            ]
+            for q in invalidated:
+                caches[q].invalidate(line)
+            self.invalidations += len(invalidated)
+            own.mark_dirty(line)
             return SnoopOutcome(SnoopSource.OWN_CACHE, tuple(invalidated), False)
 
         # Miss: snoop the peers.
-        peer_has = any(
-            q != proc and cache.contains(line) for q, cache in enumerate(self.caches)
-        )
+        holders = [q for q, c in enumerate(caches) if q != proc and c.contains(line)]
+        writeback = False
         if is_write:
-            for q, cache in enumerate(self.caches):
-                if q != proc and cache.contains(line):
-                    cache.invalidate(line)
-                    invalidated.append(q)
-            if invalidated:
-                self.invalidations += len(invalidated)
-        elif peer_has:
+            for q in holders:
+                caches[q].invalidate(line)
+            self.invalidations += len(holders)
+            invalidated = tuple(holders)
+        else:
             # A read of a modified peer copy downgrades it M -> S: the
             # owner writes back and both end up with clean copies.
-            for q, cache in enumerate(self.caches):
-                if q != proc and cache.clean(line):
+            for q in holders:
+                if caches[q].clean(line):
                     writeback = True
+            invalidated = ()
         evicted = own.fill(line, dirty=is_write)
         if evicted is not None and evicted[1]:
             writeback = True
-        if peer_has:
+        if holders:
             self.cache_to_cache += 1
-            return SnoopOutcome(SnoopSource.PEER_CACHE, tuple(invalidated), writeback, evicted)
-        return SnoopOutcome(SnoopSource.MEMORY, tuple(invalidated), writeback, evicted)
+            return SnoopOutcome(SnoopSource.PEER_CACHE, invalidated, writeback, evicted)
+        return SnoopOutcome(SnoopSource.MEMORY, invalidated, writeback, evicted)
 
     # ------------------------------------------------------------------
     def holds(self, line: int) -> bool:
@@ -106,14 +104,3 @@ class SnoopingBus:
 
     def holds_dirty(self, line: int) -> bool:
         return any(c.is_dirty(line) for c in self.caches)
-
-    def invalidate_line(self, line: int) -> bool:
-        """External (directory-initiated) invalidation of every local copy.
-
-        Returns True when any evicted copy was dirty (writeback needed).
-        """
-        dirty = False
-        for c in self.caches:
-            if c.invalidate(line):
-                dirty = True
-        return dirty

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cache import SetAssociativeCache
+from repro.sim.directory import LINES_PER_BLOCK
 
 
 class TestBasics:
@@ -104,3 +105,51 @@ class TestAgainstFullyAssociativeReference:
             if not c.lookup(int(line)):
                 c.fill(int(line))
         assert c.resident_lines <= 16
+
+
+#: Lines the index test draws from: 4 directory blocks over a 2-set,
+#: 2-way cache, so fills evict often and each block spans both sets.
+_LINES = 4 * LINES_PER_BLOCK
+_line = st.integers(min_value=0, max_value=_LINES - 1)
+_STEPS = st.one_of(
+    st.tuples(st.just("fill"), _line, st.booleans()),
+    st.tuples(st.just("lookup"), _line),
+    st.tuples(st.just("invalidate"), _line),
+    st.tuples(
+        st.just("invalidate_block"),
+        st.integers(min_value=0, max_value=_LINES // LINES_PER_BLOCK - 1),
+    ),
+    st.tuples(st.just("mark_dirty"), _line),
+    st.tuples(st.just("clean"), _line),
+    st.tuples(st.just("clear")),
+    st.tuples(
+        st.just("batch"),
+        st.lists(st.tuples(_line, st.booleans()), min_size=1, max_size=8),
+    ),
+)
+
+
+class TestSlotIndex:
+    @given(steps=st.lists(_STEPS, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_index_mirrors_arrays(self, steps):
+        """The scalar queries read the slot index and the batch methods
+        read the arrays; after any interleaving of the two they agree
+        on every line's residency and dirty mark."""
+        c = SetAssociativeCache(capacity_items=4, ways=2)
+        every = np.arange(_LINES, dtype=np.int64)
+        for op, *args in steps:
+            if op == "fill":
+                c.fill(args[0], dirty=args[1])
+            elif op == "batch":
+                lines = np.array([l for l, _ in args[0]], dtype=np.int64)
+                writes = np.array([w for _, w in args[0]])
+                resident, slots = c.residency(lines)
+                c.touch_positions(slots[resident], dirty=writes[resident])
+            else:
+                getattr(c, op)(*args)
+            resident, slots = c.residency(every)
+            dirty = resident & c.dirty_at(slots)
+            for line in range(_LINES):
+                assert c.contains(line) == resident[line]
+                assert c.is_dirty(line) == dirty[line]

@@ -124,11 +124,31 @@ def test_lu_identical(spec, lu_run_4):
     _assert_identical(scalar, batched)
 
 
+def _scalar_calls(spec, run, fastpath: bool) -> tuple[int, int]:
+    """``(scalar access calls, total references)`` of one simulation."""
+    engine = SimulationEngine(spec, run, fastpath=fastpath)
+    backend = engine.backend
+    access = backend.access
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return access(*args)
+
+    backend.access = counting
+    result = engine.execute()
+    return calls, result.total_references
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
 def test_fast_path_actually_engages(spec, fft_run_4):
-    """Guard against silent fallback: every backend family advertises a
-    batch kernel, and disabling ``fastpath`` really disables it."""
-    on = SimulationEngine(spec, fft_run_4, fastpath=True)
-    off = SimulationEngine(spec, fft_run_4, fastpath=False)
-    assert on._batch_ready
-    assert not off._batch_ready
+    """Guard against silent fallback, by the work each lane consumed:
+    the batched lane leaves fewer scalar ``access`` calls than there
+    are references, and disabling ``fastpath`` makes exactly one per
+    reference.  A back-end that declined every batch would keep every
+    answer bit-identical and fail only here."""
+    calls, refs = _scalar_calls(spec, fft_run_4, fastpath=True)
+    assert calls < refs
+    calls, refs = _scalar_calls(spec, fft_run_4, fastpath=False)
+    assert calls == refs

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.cache import SetAssociativeCache
+from repro.sim.directory import LINES_PER_BLOCK, block_of
 from repro.sim.snoop import SnoopSource, SnoopingBus
 
 
@@ -74,12 +75,22 @@ class TestEvictionsAndExternal:
         assert out.writeback
 
     def test_external_invalidation(self):
-        bus, caches = make_bus()
-        bus.access(0, 100, True)
-        assert bus.holds(100) and bus.holds_dirty(100)
-        assert bus.invalidate_line(100) is True  # dirty copy existed
-        assert not bus.holds(100)
-        assert bus.invalidate_line(100) is False
+        """A directory invalidation drops every line of the block from
+        every cache of the bus, dirty or clean, and nothing else."""
+        bus, caches = make_bus(capacity=16)
+        block = block_of(100)
+        first = block * LINES_PER_BLOCK
+        bus.access(0, first, True)
+        bus.access(1, first + 1, False)
+        bus.access(1, first + LINES_PER_BLOCK, False)  # the next block
+        assert bus.holds(first) and bus.holds_dirty(first)
+        for cache in caches:
+            cache.invalidate_block(block)
+        assert not any(bus.holds(first + i) for i in range(LINES_PER_BLOCK))
+        assert bus.holds(first + LINES_PER_BLOCK)
+        for cache in caches:
+            cache.invalidate_block(block)  # nothing left to drop
+        assert bus.holds(first + LINES_PER_BLOCK)
 
     def test_holds_queries(self):
         bus, _ = make_bus()
