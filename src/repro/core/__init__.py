@@ -7,8 +7,10 @@ a single SMP, a cluster of workstations (COW), or a cluster of SMPs
 workload and an M/D/1 + order-statistics characterization of contention
 on shared resources.  A platform whose modeled queue saturates gets an
 infinite time (``ExecutionEstimate.feasible`` is False); the model never
-raises for it.  :class:`QueueSaturationError` is the M/D/1 functions'
-own input check, which the AMAT sum catches.
+raises for it.  :class:`QueueSaturationError` is raised only by the
+scalar M/D/1 helpers of :mod:`repro.core.contention`; the AMAT kernel
+(:class:`repro.core.amat.AmatKernel`) evaluates the same formulas on
+arrays and marks a saturated level with an infinite response instead.
 """
 
 from repro.core.locality import StackDistanceModel

@@ -155,9 +155,9 @@ def barrier_term(population: int) -> float:
     step), leaving the pure harmonic term 1/2 + 1/3 + ... + 1/c.
 
     A pure function of the integer population, so it is cached: every
-    call returns the float of the first (the scalar summation the batch
-    lane's bit identity relies on).  Invalid populations are never
-    cached and raise every time.
+    call returns the float of the first, and the model's kernel adds it
+    per lane, never re-reduced.  Invalid populations are never cached
+    and raise every time.
     """
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
@@ -276,24 +276,3 @@ def generalized_barrier_terms(rates, counts=None) -> tuple[float, ...]:
     expected = expected_max_exponential(rs, cs)
     return tuple(max(0.0, r * expected - 1.0) for r in rs)
 
-
-def is_math_stable(lam: float, tau: float, population: int) -> bool:
-    """True when the M/D/1 term is below saturation (rho < 1)."""
-    return mg1_utilization(lam, tau, population) < 1.0
-
-
-def saturating_population(lam: float, tau: float) -> float:
-    """Largest population c with rho < 1, i.e. floor(1/(lam tau)) + 1.
-
-    Returns ``math.inf`` when a single agent generates no load
-    (``lam * tau == 0``).  Useful for the optimizer's pruning.
-    """
-    if lam < 0 or tau < 0:
-        raise ValueError("rate and service time must be non-negative")
-    per_agent = lam * tau
-    if per_agent == 0.0:
-        return math.inf
-    # rho = (c - 1) lam tau < 1  <=>  c < 1 + 1/(lam tau)
-    limit = 1.0 + 1.0 / per_agent
-    ceil = math.ceil(limit) - 1  # strictly below the bound
-    return float(ceil if ceil < limit else ceil)

@@ -11,7 +11,9 @@ processors, each instruction paying its expected memory time.  This
 module evaluates those forms in cycles (S = 1 instruction/cycle) and in
 seconds (via the platform clock), and offers :func:`evaluate` as the
 single-call entry point combining a :class:`~repro.core.platform.PlatformSpec`
-with workload parameters.
+with workload parameters: one platform folded and priced as a batch of
+one of the model's kernel (:class:`repro.core.amat.AmatKernel`), the
+same kernel :mod:`repro.core.batch` runs over many platforms at once.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ def evaluate(
     closed-system variant (see
     :func:`repro.core.amat.average_memory_access_time`); ``mode="mva"``
     uses the exact closed-network Mean Value Analysis for single SMPs
-    (:func:`repro.core.mva.mva_smp_amat`) and falls back to
-    ``"throttled"`` on clusters, whose cross-machine coupling is outside
-    the exact single-class recursion.
+    (:func:`repro.core.mva.mva_smp_amat`) and the ``"throttled"`` fixed
+    point on clusters, whose cross-machine coupling is outside the exact
+    single-class recursion.
 
     A saturated queue yields an infinite E(Instr), and the estimate
     reports itself infeasible (:attr:`ExecutionEstimate.feasible`).

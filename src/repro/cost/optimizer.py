@@ -4,8 +4,9 @@
 exact enumeration (the paper: "we can determine these integer variables
 and solve the optimization problem by enumerating solutions"), with the
 per-candidate model calls batched through the vectorized evaluator
-(:mod:`repro.core.batch`) so answers are bit-identical to the scalar
-model but arrive far faster.  ``optimize_upgrade`` solves the paper's
+(:mod:`repro.core.batch`): one call of the model's kernel per candidate
+set, each answer exactly what :func:`~repro.core.execution.evaluate`
+gives the candidate alone.  ``optimize_upgrade`` solves the paper's
 second question -- given an existing cluster and a budget increase B',
 choose the best upgraded configuration, constrained to *grow* the
 current one (same or larger n, N, cache, memory; network may be
@@ -99,7 +100,7 @@ def _predict(
 def _batch_case(
     spec: PlatformSpec, workload: WorkloadParams, options: ModelOptions
 ) -> BatchCase:
-    """The vectorized-lane mirror of :func:`_predict`'s per-spec knobs."""
+    """:func:`_predict`'s per-spec knobs, as one case of a batch."""
     return BatchCase(
         spec,
         sharing_fraction=(
@@ -113,7 +114,7 @@ def _batch_case(
 def _predict_batch(
     specs: Sequence[PlatformSpec], workload: WorkloadParams, options: ModelOptions
 ):
-    """E(Instr) seconds for many specs, bit-identical to :func:`_predict`."""
+    """E(Instr) seconds for many specs, each exactly what :func:`_predict` gives."""
     return e_instr_seconds_batch(
         [_batch_case(spec, workload, options) for spec in specs],
         workload.locality,
@@ -129,16 +130,12 @@ def _predict_batch(
 class RankedConfiguration:
     """One feasible configuration with its price and predicted time.
 
-    ``estimate`` carries the full per-level model breakdown when the
-    configuration came through the scalar lane (e.g. the current machine
-    in an upgrade query); batched search paths leave it ``None`` -- call
-    :func:`_predict` on the spec to reconstruct it on demand.
+    :func:`_predict` on the spec gives its full per-level breakdown.
     """
 
     spec: PlatformSpec
     price: float
     e_instr_seconds: float
-    estimate: ExecutionEstimate | None = None
 
     @property
     def cost_performance(self) -> float:
@@ -278,13 +275,6 @@ def optimize_upgrade(
         raise ValueError("budget increase must be non-negative")
     assert_priceable(catalog, current)
     current_price = cluster_cost(catalog, current)
-    current_est = _predict(current, workload, options)
-    current_ranked = RankedConfiguration(
-        spec=current,
-        price=current_price,
-        e_instr_seconds=current_est.e_instr_seconds,
-        estimate=current_est,
-    )
     total_budget = current_price + budget_increase
     pairs = [
         (spec, price)
@@ -293,10 +283,16 @@ def optimize_upgrade(
         )
         if _is_upgrade_of(spec, current)
     ]
-    seconds = _predict_batch([spec for spec, _ in pairs], workload, options)
+    # The owned machine rides in the candidates' batch, at position 0.
+    seconds = _predict_batch(
+        [current] + [spec for spec, _ in pairs], workload, options
+    ).tolist()
+    current_ranked = RankedConfiguration(
+        spec=current, price=current_price, e_instr_seconds=seconds[0]
+    )
     ranked = [
-        RankedConfiguration(spec=spec, price=price, e_instr_seconds=float(s))
-        for (spec, price), s in zip(pairs, seconds)
+        RankedConfiguration(spec=spec, price=price, e_instr_seconds=s)
+        for (spec, price), s in zip(pairs, seconds[1:])
         if math.isfinite(s)
     ]
     if not ranked:

@@ -10,11 +10,11 @@ questions cheap, none of it changing an answer:
    mask over it (enumeration prices every candidate whatever the
    budget, so the mask yields the same candidates in the same order).
 2. **Batched, memoized evaluation** — candidates go through
-   :func:`repro.core.batch.e_instr_seconds_batch` (bit-identical to
-   scalar :func:`~repro.core.execution.evaluate`); a per-engine memo
-   keyed on ``(workload locality/gamma, spec, sharing, fresh, rra)``
-   reuses evaluations across queries, and a second one folds each
-   platform's hierarchy once.
+   :func:`repro.core.batch.e_instr_seconds_batch` (each answer exactly
+   what :func:`~repro.core.execution.evaluate` gives alone); a
+   per-engine memo keyed on ``(workload locality/gamma, spec, sharing,
+   fresh, rra)`` reuses evaluations across queries, and a second one
+   folds each platform's hierarchy once.
 3. **Pareto pruning** — ``method="pareto"`` visits candidates in
    ascending order of the admissible zero-contention lower bound
    (:func:`repro.core.batch.e_instr_lower_bounds`) and skips one only
@@ -234,8 +234,8 @@ def _search_core(
     ``(feasible, evaluated, memo_hits)`` where ``feasible`` holds
     ``(enumeration_index, price, e_instr_seconds)`` of every candidate
     whose model was computed and came back finite.  ``hierarchies`` is
-    the hierarchy-fold memo handed to the batch lane; without one the
-    call keeps its own, so bounds and evaluations share folds.
+    the hierarchy-fold memo handed to the batch entry points; without
+    one the call keeps its own, so bounds and evaluations share folds.
 
     ``"exhaustive"`` evaluates every candidate.  ``"pareto"`` prunes a
     candidate only when its admissible lower bound *strictly* exceeds the
@@ -580,8 +580,7 @@ class DesignSearch:
         specs = {index: spec for index, spec, _ in candidates}
         ranked = [
             RankedConfiguration(
-                spec=specs[index], price=price, e_instr_seconds=seconds,
-                estimate=None,
+                spec=specs[index], price=price, e_instr_seconds=seconds
             )
             for index, price, seconds in sorted(feasible)  # enumeration order
         ]

@@ -522,8 +522,8 @@ class ExperimentRunner:
         Minimizes the worst-case relative error over every cell -- the
         same criterion the paper's single 12.4% adjustment was chosen
         by -- keeping the first minimum in grid order.  Simulations are
-        cached, and the model runs on the batch lane, bit-identical to
-        :meth:`model`: one :func:`~repro.core.batch.e_instr_seconds_batch`
+        cached, and each cell's model answer is exactly :meth:`model`'s:
+        one :func:`~repro.core.batch.e_instr_seconds_batch`
         call per (cache factor, boost, barrier scale, app) covers every
         (adjustment, false-sharing option, spec) case, and each
         platform's hierarchy is folded once per cache factor.

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.amat import average_memory_access_time
+from repro.core.amat import AmatKernel
 from repro.core.contention import generalized_barrier_terms
 from repro.core.locality import StackDistanceModel
 from repro.scheduling.platform import HeteroPlatform
@@ -180,28 +180,25 @@ def process_costs(
 ) -> ProcessCosts:
     """Fold every machine of ``platform`` once and price its AMAT.
 
-    The only place the scheduling layer folds a tree.  Identical
-    machines share one AMAT evaluation; the keyword arguments mirror
+    The only place the scheduling layer folds a tree.  The distinct
+    machines are priced in one call of the model's kernel, one lane
+    each; the keyword arguments mirror
     :func:`repro.core.execution.evaluate` with ``mode="open"``.  A
     machine whose queue saturates costs ``inf``.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
-    memo: dict = {}
-    per_machine: list[float] = []
-    for hierarchy in platform.hierarchies():
-        if hierarchy not in memo:
-            memo[hierarchy] = average_memory_access_time(
-                hierarchy,
-                locality,
-                gamma,
-                remote_rate_adjustment=remote_rate_adjustment,
-                barrier_scale=0.0,
-                mode="open",
-                sharing_fraction=sharing_fraction,
-                sharing_fresh_fraction=sharing_fresh_fraction,
-            ).total_cycles
-        per_machine.append(memo[hierarchy])
+    hierarchies = platform.hierarchies()
+    distinct = list(dict.fromkeys(hierarchies))
+    totals = AmatKernel(
+        distinct,
+        locality,
+        gamma,
+        remote_rate_adjustment=remote_rate_adjustment,
+        sharing_fraction=sharing_fraction,
+        sharing_fresh_fraction=sharing_fresh_fraction,
+        barrier_scale=0.0,
+    ).solve("open").total
+    amat_of = dict(zip(distinct, totals.tolist()))
+    per_machine = [amat_of[h] for h in hierarchies]
     machines = platform.machine_of_process
     return ProcessCosts(
         platform_name=platform.name,

@@ -10,11 +10,11 @@ experiment runner's simulation path for submissions.  The serving layer
 top; tests call this module directly to establish the bit-identity
 contracts the server then inherits:
 
-* ``predict`` answers are computed through the batched evaluator, and
-  every batched call is per-case independent (property-tested against
-  the scalar :func:`repro.core.execution.evaluate` in
-  ``tests/cost/test_batch_eval.py``), so a request coalesced into a
-  100-wide wave returns the **bit-identical** float it would get alone.
+* ``predict`` answers are computed through the batched evaluator,
+  whose lanes are independent: a case priced inside a wide, mixed batch
+  gets exactly the float :func:`repro.core.execution.evaluate` gives it
+  alone (``tests/cost/test_batch_eval.py``), so a request coalesced into
+  a 100-wide wave returns the **bit-identical** float it would get alone.
 * ``design`` answers route through one shared :class:`DesignSearch`
   engine whose memo replays exact floats, so coalesced design waves are
   likewise bit-identical to one-at-a-time calls.

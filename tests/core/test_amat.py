@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, average_memory_access_time
-from repro.core.contention import barrier_term, mg1_response_time
+from repro.core.contention import barrier_term, mg1_response_time, mg1_utilization
+from repro.core.hierarchy import LevelKind, MemoryHierarchy, MemoryLevel, PlatformKind
 from repro.core.locality import StackDistanceModel
 from repro.core.platform import PlatformSpec
 from repro.sim.latencies import ITEM_BYTES, NetworkKind
@@ -49,6 +51,64 @@ class TestUniprocessorLimit:
         mem = out2.levels[0]
         assert mem.response_cycles > 50.0
         assert t1 > 0
+
+
+class TableLocality:
+    """A locality given by a table of tails at the levels' boundaries."""
+
+    def __init__(self, tails: dict[float, float]) -> None:
+        self.tails = tails
+
+    def tail(self, s):
+        return np.vectorize(self.tails.__getitem__, otypes=[float])(s)
+
+    def rescaled(self, n: int) -> "TableLocality":
+        assert n == 1, "a one-process table"
+        return self
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("mode", ["open", "throttled"])
+    def test_three_level_emat(self, mode):
+        """The textbook multi-level EMAT: L1 4 cycles, then L2 12, L3 40
+        and memory 200 cycles, reached by 5%, 1% and 0.1% of references
+        (95% L1 hits, 80% and 90% of the misses caught by L2 and L3):
+        4 + 0.05*12 + 0.01*40 + 0.001*200 = 5.2 cycles.  One process, no
+        contention, no barrier."""
+        h = MemoryHierarchy(
+            platform=PlatformKind.SMP,
+            base_cycles=4.0,
+            levels=(
+                MemoryLevel("L2", LevelKind.L2_CACHE, 100.0, 12.0, 1),
+                MemoryLevel("L3", LevelKind.L2_CACHE, 1_000.0, 40.0, 1),
+                MemoryLevel("memory", LevelKind.LOCAL_MEMORY, 10_000.0, 200.0, 1),
+            ),
+            barrier_population=1,
+            total_processes=1,
+        )
+        table = TableLocality({100.0: 0.05, 1_000.0: 0.01, 10_000.0: 0.001})
+        out = average_memory_access_time(h, table, gamma=0.3, mode=mode)
+        assert out.total_cycles == pytest.approx(5.2)
+        assert [lv.contribution_cycles for lv in out.levels] == pytest.approx(
+            [0.6, 0.4, 0.2]
+        )
+        assert out.barrier_cycles == 0.0
+
+    def test_open_response_is_md1(self):
+        """In open mode every contended level's response and utilization
+        are the M/D/1 closed forms at its burst-boosted request rate."""
+        h = _cow(N=8, net=NetworkKind.ATM_155)
+        out = average_memory_access_time(
+            h, LOC, gamma=0.3, remote_rate_adjustment=0.124, contention_boost=2.0
+        )
+        contended = [lv for lv in out.levels if lv.population > 1]
+        assert contended
+        for lv in contended:
+            lam = lv.request_rate * 2.0
+            assert lv.response_cycles == mg1_response_time(
+                lam, lv.tau_cycles, lv.population
+            )
+            assert lv.utilization == mg1_utilization(lam, lv.tau_cycles, lv.population)
 
 
 class TestSmpFormula:

@@ -13,12 +13,10 @@ from repro.core.contention import (
     barrier_term,
     barrier_wait_time,
     harmonic_number,
-    is_math_stable,
     mg1_response_time,
     mg1_utilization,
     mg1_waiting_time,
     queued_contribution,
-    saturating_population,
 )
 
 
@@ -103,13 +101,6 @@ class TestMD1:
         assert queued_contribution(lam, tau, c) == pytest.approx(
             lam * mg1_response_time(lam, tau, c)
         )
-
-    def test_stability_helpers(self):
-        assert is_math_stable(0.001, 50.0, 2)
-        assert not is_math_stable(0.5, 50.0, 2)
-        assert saturating_population(0.0, 50.0) == math.inf
-        # lam*tau = 0.1 -> c < 11 -> largest stable population is 10
-        assert saturating_population(0.002, 50.0) == 10
 
 
 class TestBarrier:

@@ -1,17 +1,21 @@
-"""The batched model evaluator must be bit-identical to scalar ``evaluate``.
+"""A case's answer must not depend on the batch it is priced in.
 
-Property tests in the style of ``tests/sim/test_fastpath_equivalence``:
-for randomized platforms (SMP / COW / CLUMP, with and without L2, all
-networks), randomized workload parameters (alpha, beta, truncation,
-gamma, sharing, coherence adjustment, burstiness) and both analytic
-modes, ``e_instr_seconds_batch`` must equal per-spec ``evaluate`` with
-``==`` on float64 — including ``inf`` on saturated candidates.  That
-holds too when the per-case knobs vary inside one batch (what
-``ExperimentRunner.calibrate`` sends), on topology-tree platforms, and
-when a hierarchy memo is shared across calls.  The zero-contention
-lower bound must never exceed the true E(Instr) in any mode, a single
-machine's answer never moves with the remote-rate adjustment, and a
-saturated platform is ``inf`` in every lane without any option.
+``evaluate`` is the model's kernel on a batch of one;
+``e_instr_seconds_batch`` runs the same kernel over many platforms at
+once.  The service's coalescer and the figure calibration rely on
+batch-composition independence: for randomized platforms (SMP / COW /
+CLUMP, with and without L2, all networks, topology trees), randomized
+workload parameters (alpha, beta, truncation, gamma, sharing, coherence
+adjustment, burstiness) and both analytic modes, a case priced inside a
+wide, mixed batch must equal the same case alone through ``evaluate``
+with ``==`` on float64 — including ``inf`` on saturated candidates.
+That holds too when the per-case knobs vary inside one batch (what
+``ExperimentRunner.calibrate`` sends) and when a hierarchy memo is
+shared across calls.  The zero-contention lower bound must never exceed
+the true E(Instr) in any mode, a single machine's answer never moves
+with the remote-rate adjustment, and a saturated platform is ``inf``
+everywhere without any option.  ``tests/core/test_model_golden.py``
+pins the answers themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, zero_contention_amat
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, AmatKernel, zero_contention_amat
 from repro.core.batch import BatchCase, e_instr_lower_bounds, e_instr_seconds_batch
 from repro.core.execution import MODES, evaluate
 from repro.core.locality import StackDistanceModel
@@ -125,8 +129,8 @@ def _random_kwargs(rng: np.random.Generator) -> dict:
     )
 
 
-def _scalar_reference(cases, locality, gamma, mode, **kwargs):
-    """Scalar ``evaluate`` per case, with the case's own knobs."""
+def _alone(cases, locality, gamma, mode, **kwargs):
+    """``evaluate`` per case, alone, with the case's own knobs."""
     return [
         evaluate(
             case.spec, locality, gamma, mode=mode,
@@ -142,22 +146,24 @@ def _scalar_reference(cases, locality, gamma, mode, **kwargs):
 @pytest.mark.parametrize("mode", ["open", "throttled"])
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_matches_scalar_bitwise(mode: str, seed: int) -> None:
-    """Flat and topology-tree platforms; cases sharing one set of knobs
-    in one batch with cases whose sharing, fresh fraction and remote
-    adjustment vary case by case (what ``calibrate`` sends)."""
+    """Batch-composition independence: every case of a wide, mixed
+    batch -- flat and topology-tree platforms, cases sharing one set of
+    knobs beside cases whose sharing, fresh fraction and remote
+    adjustment vary case by case (what ``calibrate`` sends) -- equals
+    the same case alone through ``evaluate``."""
     rng = np.random.default_rng(1234 + seed)
     specs = [_random_spec(rng, i) for i in range(12)]
     specs += [_random_tree_spec(rng, i) for i in range(6)]
     locality, gamma = _random_workload(rng)
     kwargs = _random_kwargs(rng)
     cases = _uniform_cases(rng, specs) + [_random_case(rng, spec) for spec in specs]
-    expected = _scalar_reference(cases, locality, gamma, mode, **kwargs)
+    expected = _alone(cases, locality, gamma, mode, **kwargs)
     got = e_instr_seconds_batch(cases, locality, gamma, mode=mode, **kwargs)
     assert got.dtype == np.float64
     for j, (want, have) in enumerate(zip(expected, got)):
         assert want == have, (
             f"mismatch at candidate {j} ({cases[j]}): "
-            f"scalar={want!r} batch={have!r}"
+            f"alone={want!r} batched={have!r}"
         )
 
 
@@ -204,7 +210,7 @@ def test_lower_bound_is_admissible(mode: str) -> None:
         kwargs = _random_kwargs(rng)
         boost = kwargs.pop("contention_boost")
         bounds = e_instr_lower_bounds(cases, locality, gamma, **kwargs)
-        truth = _scalar_reference(
+        truth = _alone(
             cases, locality, gamma, mode, contention_boost=boost, **kwargs
         )
         for j, (lb, t) in enumerate(zip(bounds, truth)):
@@ -216,6 +222,8 @@ def test_lower_bound_is_admissible(mode: str) -> None:
 
 
 def test_lower_bound_matches_scalar_reference() -> None:
+    """Each batched bound is exactly ``zero_contention_amat`` alone,
+    converted by Eq. 4."""
     rng = np.random.default_rng(7)
     specs = [_random_spec(rng, i) for i in range(10)]
     locality, gamma = _random_workload(rng)
@@ -236,11 +244,12 @@ def test_lower_bound_matches_scalar_reference() -> None:
             **kwargs,
         )
         want = ((1.0 + gamma * amat) / spec.total_processors) / spec.cpu_hz
-        assert lb == pytest.approx(want, rel=1e-12)
+        assert lb == want
 
 
 def test_per_case_knobs_match_scalar() -> None:
-    """BatchCase carries per-candidate sharing / coherence adjustments."""
+    """BatchCase carries per-candidate sharing / coherence adjustments,
+    and each case of the batch equals ``evaluate`` alone with its own."""
     rng = np.random.default_rng(21)
     locality, gamma = _random_workload(rng)
     cases = []
@@ -318,7 +327,11 @@ def test_single_machine_ignores_the_remote_adjustment(
         assert answers == [answers[0]] * 4, (mode, answers)
 
 
-def test_mva_mode_falls_back_to_scalar() -> None:
+def test_mva_mode_is_exact_on_smps_and_throttled_on_clusters() -> None:
+    """``mode="mva"`` prices a single SMP with ``mva_smp_amat`` and a
+    cluster with the throttled kernel, in a batch as alone."""
+    from repro.core.mva import mva_smp_amat
+
     loc = StackDistanceModel(alpha=1.6, beta=800.0)
     smp = PlatformSpec("mva-smp", n=4, N=1, cache_bytes=256 * KB, memory_bytes=64 * MB)
     cow = PlatformSpec(
@@ -328,14 +341,16 @@ def test_mva_mode_falls_back_to_scalar() -> None:
     got = e_instr_seconds_batch(
         [BatchCase(smp), BatchCase(cow)], loc, 0.3, mode="mva"
     )
+    exact = mva_smp_amat(smp.hierarchy(), loc, 0.3)
+    assert got[0] == ((1.0 + 0.3 * exact) / smp.total_processors) / smp.cpu_hz
+    assert got[1] == evaluate(cow, loc, 0.3, mode="throttled").e_instr_seconds
     for spec, have in zip([smp, cow], got):
-        want = evaluate(spec, loc, 0.3, mode="mva").e_instr_seconds
-        assert want == have
+        assert evaluate(spec, loc, 0.3, mode="mva").e_instr_seconds == have
 
 
 def test_saturation_is_inf_in_every_lane() -> None:
-    """A saturating open-model platform is ``inf`` and infeasible in the
-    scalar lane, the batch lane and the scheduling layer, with no
+    """A saturating open-model platform is ``inf`` and infeasible through
+    ``evaluate``, the batch entry point and the scheduling layer, with no
     option passed."""
     loc = StackDistanceModel(alpha=1.2, beta=5000.0)
     hot = PlatformSpec(
@@ -371,13 +386,13 @@ def test_empty_batch_and_validation() -> None:
         e_instr_seconds_batch([smp], loc, 0.3, contention_boost=0.5)
 
 
-def test_mixed_locality_falls_back_to_scalar() -> None:
-    """Duck-typed localities (workload mixtures) must keep working.
+def test_mixed_locality_goes_through_the_kernel() -> None:
+    """Workload mixtures take the one kernel, like a power law.
 
-    ``MixedLocality`` only promises ``tail``/``cdf``/``rescaled``, so the
-    batch lane must route it through scalar ``evaluate`` and the lower
-    bound through scalar ``zero_contention_amat`` — bit-identical and
-    admissible, exactly like the power-law path.
+    ``MixedLocality`` only promises ``tail``/``cdf``/``rescaled``, which
+    is all the kernel reads: a batch equals the kernel over the folded
+    platforms and each case alone through ``evaluate``, and the bound
+    is exactly ``zero_contention_amat`` and admissible.
     """
     from repro.workloads.mix import mix_workloads
     from repro.workloads.params import PAPER_FFT, PAPER_RADIX
@@ -388,10 +403,15 @@ def test_mixed_locality_falls_back_to_scalar() -> None:
     cases = [BatchCase(spec) for spec in specs]
     for mode in ("open", "throttled"):
         got = e_instr_seconds_batch(cases, mixed.locality, mixed.gamma, mode=mode)
-        want = _scalar_reference(cases, mixed.locality, mixed.gamma, mode)
+        want = _alone(cases, mixed.locality, mixed.gamma, mode)
         assert list(got) == want
+        amat = AmatKernel(
+            [spec.hierarchy() for spec in specs], mixed.locality, mixed.gamma
+        ).solve(mode).total
+        for spec, have, t in zip(specs, got, amat):
+            assert have == ((1.0 + mixed.gamma * t) / spec.total_processors) / spec.cpu_hz
     bounds = e_instr_lower_bounds(cases, mixed.locality, mixed.gamma)
-    truth = _scalar_reference(cases, mixed.locality, mixed.gamma, "throttled")
+    truth = _alone(cases, mixed.locality, mixed.gamma, "throttled")
     for spec, lb, t in zip(specs, bounds, truth):
         assert math.isfinite(lb) and lb <= t
         amat = zero_contention_amat(spec.hierarchy(), mixed.locality, mixed.gamma)

@@ -32,8 +32,9 @@ def _scalar_calibrate(
     runner, apps, specs, cache_factors, boosts, barrier_scales, adjustments,
     false_sharing_options,
 ):
-    """The grid search as one scalar ``runner.model`` call per cell: the
-    reference the batched ``calibrate`` must reproduce exactly."""
+    """The grid search as one ``runner.model`` call per cell: the
+    per-cell search whose bookkeeping the batched ``calibrate`` must
+    reproduce exactly."""
     sims = {
         (app, spec.name): runner.simulate(app, spec).e_instr_seconds
         for app in apps
@@ -70,7 +71,7 @@ def _scalar_calibrate(
 
 @pytest.fixture
 def scalar_evaluate_calls(monkeypatch):
-    """Counts scalar ``evaluate`` calls made through the runner module."""
+    """Counts per-cell ``evaluate`` calls made through the runner module."""
     calls = []
     real = runner_module.evaluate
 
@@ -140,7 +141,10 @@ class TestCalibrate:
 
 
 class TestCalibrateMatchesScalarSearch:
-    """``calibrate`` runs on the batch lane; the scalar search is its oracle."""
+    """``calibrate`` prices its grid in batches, with no per-cell
+    ``evaluate`` call; a per-cell search checks its bookkeeping: every
+    (adjustment, false-sharing, platform) case, exact ties keeping the
+    first grid point, and generator inputs consumed once."""
 
     def test_cluster_grid_from_generators(self, small_runner, scalar_evaluate_calls):
         apps = ["EDGE", "FFT"]
