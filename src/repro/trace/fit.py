@@ -162,6 +162,7 @@ class IncrementalFit:
         self.steps: list[ConvergenceStep] = []
         self._streak = 0
         self._converged_at: int | None = None
+        self._fit: FitResult | None = None  # fit of the histogram as it stands
 
     # ------------------------------------------------------------------
     def update(
@@ -188,7 +189,7 @@ class IncrementalFit:
         if self._refs == 0 or self._hist.size == 0:
             return None
 
-        fit = self._fit_now()
+        fit = self._fit = self._fit_now()
         gamma = self.gamma
         prev = self.steps[-1] if self.steps else None
         if prev is None:
@@ -279,8 +280,14 @@ class IncrementalFit:
         return self._converged_at is not None
 
     def result(self) -> FitResult:
-        """The final fit over everything folded in so far."""
-        return self._fit_now()
+        """The final fit over everything folded in so far.
+
+        Only :meth:`update` folds data in, and it re-fits, so its fit is
+        reused here rather than solved again.
+        """
+        if self._fit is None:
+            return self._fit_now()  # raises: nothing with reuse folded in
+        return self._fit
 
     def convergence(self) -> Convergence:
         """The full trajectory plus the stop-rule outcome."""

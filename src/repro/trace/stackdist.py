@@ -11,20 +11,23 @@ Classic implementations walk the trace with a Fenwick tree -- an
 inherently sequential Python loop.  Following the repository's
 vectorization discipline we instead reduce the problem to offline 2-D
 dominance counting and solve *all* references simultaneously with a
-level-by-level wavelet-tree descent built from numpy primitives:
+wavelet matrix built from numpy primitives:
 
 1. ``prev[t]``, the previous position of the item at position ``t``,
    is obtained from one stable argsort of (item, position).
 2. The number of distinct items in the window ``(p, t)`` (with
    ``p = prev[t]``) equals ``(t - p - 1)`` minus the number of positions
    ``u`` in the window whose own ``prev[u]`` also lies inside it
-   (those are repeats).  Writing ``F(k, v) = #{u < k : prev[u] > v}``,
+   (those are repeats).  Every ``u <= p`` has ``prev[u] < u <= p``, so
 
-       distance(t) = (t - p - 1) - (F(t, p) - F(p + 1, p)),
+       distance(t) = (t - p - 1) - #{u < t : prev[u] > p},
 
-3. and all ``F`` queries are answered together by descending a wavelet
-   tree over the ``prev`` array: each level is one stable argsort plus
-   one cumulative sum, and every query advances with O(1) gathers.
+   and cold positions (``prev[u] = -1``) never count.
+3. Over the warm positions that count is, for every element at once,
+   "how many earlier elements are greater than me":
+   :func:`count_greater_before` on ``prev[warm]``.  It descends a
+   wavelet matrix one bit level at a time: one cumulative sum and one
+   O(M) stable partition by scatter per level.
 
 Total cost is O(M log M) in numpy operations with O(M) peak memory --
 millions of references per second, versus microseconds per reference for
@@ -53,6 +56,7 @@ import numpy as np
 
 __all__ = [
     "COLD_DISTANCE",
+    "count_greater_before",
     "prev_occurrence",
     "stack_distances",
     "stack_distances_naive",
@@ -70,73 +74,91 @@ def prev_occurrence(items: np.ndarray) -> np.ndarray:
     One stable argsort groups equal items in position order; shifting
     within groups yields the predecessor indices.
     """
+    return _occurrences(items)[0]
+
+
+def _occurrences(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``prev_occurrence(items)``, the distinct items in sorted order, and
+    the position of each one's last occurrence -- all from one argsort."""
     items = np.ascontiguousarray(items)
     if items.ndim != 1:
         raise ValueError("items must be a 1-D array")
-    m = items.size
-    prev = np.full(m, -1, dtype=np.int64)
-    if m == 0:
-        return prev
     order = np.argsort(items, kind="stable")
-    sorted_items = items[order]
-    same_as_left = np.empty(m, dtype=bool)
-    same_as_left[0] = False
-    np.not_equal(sorted_items[1:], sorted_items[:-1], out=same_as_left[1:])
-    np.logical_not(same_as_left, out=same_as_left)  # True where same item as predecessor
-    prev[order[1:][same_as_left[1:]]] = order[:-1][same_as_left[1:]]
-    return prev
+    ranked = items[order]
+    repeat = ranked[1:] == ranked[:-1]  # same item as its left neighbour
+    prev = np.full(items.size, -1, dtype=np.int64)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    last = np.ones(items.size, dtype=bool)
+    np.logical_not(repeat, out=last[:-1])
+    return prev, ranked[last], order[last]
 
 
-def _batched_rank_greater(values: np.ndarray, ks: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """For each query i, count u < ks[i] with values[u] > vs[i].
+def count_greater_before(values: np.ndarray) -> np.ndarray:
+    """``out[i] = #{u < i : values[u] > values[i]}`` for every position ``i``.
 
-    Wavelet-tree descent vectorized across queries.  ``values`` must be
-    non-negative int64 (shift all inputs up front if necessary).
+    A wavelet matrix, built and queried in the same pass, most
+    significant bit first.  At each bit level the elements sit in
+    *nodes*: contiguous runs that agree on every higher bit, each in
+    original order.  So the 1-bits of a node that precede a 0-bit
+    element are exactly the earlier elements that are greater than it
+    at this level and equal above it; one cumulative sum counts them
+    for every element.  A stable partition by scatter -- 0-bits to the
+    front, 1-bits after, order kept -- lays out the next level, whose
+    nodes are again contiguous runs.  Each level is O(M) numpy work, on
+    int32 arrays whenever the length and the value range fit.
+
+    >>> count_greater_before(np.array([3, 1, 4, 1, 5, 2])).tolist()
+    [0, 1, 0, 2, 0, 3]
     """
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-D array")
     m = values.size
-    q = ks.size
-    out = np.zeros(q, dtype=np.int64)
-    if m == 0 or q == 0:
+    out = np.zeros(m, dtype=np.int64)
+    if m < 2:
         return out
-    top = max(int(values.max()), int(vs.max()) if vs.size else 0)
-    nbits = max(1, int(top).bit_length())
-
-    # Per-query state: node interval [s, e) in the current level's layout
-    # and k = number of node elements drawn from the query's prefix.
-    s = np.zeros(q, dtype=np.int64)
-    e = np.full(q, m, dtype=np.int64)
-    k = ks.astype(np.int64).copy()
-
-    perm_values = values  # level-0 layout is the original order
-    for level in range(nbits):
-        shift = nbits - level - 1
-        bits = (perm_values >> shift) & 1
-        cum = np.empty(m + 1, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(bits, out=cum[1:])
-
-        ones_prefix = cum[s + k] - cum[s]  # 1-bits among the first k node elements
-        ones_node = cum[e] - cum[s]  # 1-bits in the whole node
-        zeros_node = (e - s) - ones_node
-
-        vbit = (vs >> shift) & 1
-        go_right = vbit == 1
-        # v's bit is 0: the right child holds strictly greater values ->
-        # bank those and descend left.
-        out += np.where(go_right, 0, ones_prefix)
-        k = np.where(go_right, ones_prefix, k - ones_prefix)
-        new_s = np.where(go_right, s + zeros_node, s)
-        new_e = np.where(go_right, e, s + zeros_node)
-        s, e = new_s, new_e
-
-        if level + 1 < nbits:
-            # Re-layout for the next level: stable sort by the top
-            # (level+1) bits, which refines every node's partition by this
-            # level's bit without merging sibling nodes.  (NumPy's stable
-            # integer sort is a radix sort, so this is already O(M); a
-            # hand-rolled vectorized partition was measured slower.)
-            order = np.argsort(perm_values >> shift, kind="stable")
-            perm_values = perm_values[order]
+    lo = values.min()
+    nbits = (int(values.max()) - int(lo)).bit_length()
+    dtype = np.int32 if nbits < 32 and m < 2**31 else np.int64
+    v = np.empty(m, dtype=dtype)  # values - lo, in this level's layout
+    np.subtract(values, lo, out=v, casting="unsafe")
+    acc = np.zeros(m, dtype=dtype)  # counts so far, in this level's layout
+    idx = np.arange(m, dtype=dtype)  # original position of each layout slot
+    v2, acc2, idx2, bit, tmp, below = np.empty((6, m), dtype=dtype)
+    cum = np.zeros(m + 1, dtype=dtype)
+    ones = cum[:-1]  # 1-bits strictly before each slot
+    start = np.zeros(m, dtype=bool)  # first slot of its node
+    start[0] = True
+    slot = np.arange(m, dtype=np.intp)
+    dest, step = np.empty((2, m), dtype=np.intp)
+    cum_tail, start_tail, tmp_hi, tmp_lo = cum[1:], start[1:], tmp[1:], tmp[:-1]
+    for shift in range(nbits - 1, -1, -1):
+        np.right_shift(v, shift, out=bit)
+        np.right_shift(bit, 1, out=tmp)  # node key: every higher bit
+        np.not_equal(tmp_hi, tmp_lo, out=start_tail)
+        np.bitwise_and(bit, 1, out=bit)
+        np.cumsum(bit, out=cum_tail)
+        # 1-bits before each slot inside its node; 0-bit slots bank them.
+        np.multiply(ones, start, out=tmp)
+        np.maximum.accumulate(tmp, out=tmp)
+        np.subtract(ones, tmp, out=below)
+        np.multiply(below, bit, out=tmp)
+        np.subtract(below, tmp, out=below)
+        acc += below
+        if shift == 0:
+            break
+        # Stable partition: a 0-bit slot moves to the number of 0-bits
+        # before it, a 1-bit slot to all 0-bits plus the 1-bits before it.
+        np.subtract(slot, ones, out=dest)
+        np.add(ones, m - cum[m], out=step)
+        np.subtract(step, dest, out=step)
+        np.multiply(step, bit, out=step)
+        dest += step
+        v2[dest] = v
+        acc2[dest] = acc
+        idx2[dest] = idx
+        v, v2, acc, acc2, idx, idx2 = v2, v, acc2, acc, idx2, idx
+    out[idx] = acc
     return out
 
 
@@ -147,26 +169,15 @@ def stack_distances(items: np.ndarray) -> np.ndarray:
     :data:`COLD_DISTANCE`.  A fully-associative LRU cache of capacity
     ``s`` hits reference ``t`` iff ``0 <= distance[t] < s``.
     """
-    items = np.ascontiguousarray(items)
-    if items.ndim != 1:
-        raise ValueError("items must be a 1-D array")
-    m = items.size
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    prev = prev_occurrence(items)
-    warm = prev >= 0
-    t = np.flatnonzero(warm).astype(np.int64)
-    p = prev[warm]
+    return _reuse_distances(prev_occurrence(items))
 
-    # Shift prev by +1 so values are non-negative for the wavelet tree.
-    vals = (prev + 1).astype(np.int64)
-    ks = np.concatenate([t, p + 1])
-    vs = np.concatenate([p + 1, p + 1])
-    counts = _batched_rank_greater(vals, ks, vs)
-    repeats = counts[: t.size] - counts[t.size :]
 
-    distances = np.full(m, COLD_DISTANCE, dtype=np.int64)
-    distances[t] = (t - p - 1) - repeats
+def _reuse_distances(prev: np.ndarray) -> np.ndarray:
+    """Stack distances from ``prev_occurrence`` (step 2 of the module doc)."""
+    distances = np.full(prev.size, COLD_DISTANCE, dtype=np.int64)
+    t = np.flatnonzero(prev >= 0)
+    p = prev[t]
+    distances[t] = (t - p - 1) - count_greater_before(p)
     return distances
 
 

@@ -21,14 +21,17 @@ referenced since that occurrence as ``A + B``:
   ``searchsorted`` into the sorted slot values;
 * ``B`` -- items whose first in-chunk occurrence precedes ``q`` and whose
   pre-chunk slot is ``<= p`` (or absent): everything newer than ``p``
-  is already in ``A``.  All ``B`` queries are answered together with the
-  same wavelet-tree dominance counter the offline engine uses, over the
+  is already in ``A``.  All ``B`` queries are answered together by the
+  same counter the offline engine uses
+  (:func:`~repro.trace.stackdist.count_greater_before`), over the
   chunk-first subsequence only.
 
 After emitting, the chunk's distinct items are re-slotted above all
 existing slots in last-occurrence order (one sorted merge), preserving
-the invariant.  Unbounded, the table holds the trace footprint and every
-distance is **bit-identical** to the offline engine (property-tested).
+the invariant; the items and their last positions come from the argsort
+that found each reference's previous occurrence.  Unbounded, the table
+holds the trace footprint and every distance is **bit-identical** to
+the offline engine (property-tested).
 With ``max_live_items`` set, the *least recent* items are evicted when
 the table overflows -- eviction removes a recency *prefix* of slots, so
 a surviving item's reuse window can never contain an evicted slot and
@@ -54,12 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.stackdist import COLD_DISTANCE, _batched_rank_greater, stack_distances
+from repro.trace.stackdist import _occurrences, _reuse_distances, count_greater_before
 
 __all__ = ["StreamStats", "StreamingStackDistance"]
 
 #: Renumber slots densely once the counter exceeds this multiple of the
-#: live count (smaller slot values keep the wavelet descent shallow).
+#: live count (smaller slot values keep the wavelet matrix shallow).
 _RENUMBER_FACTOR = 4
 
 
@@ -126,35 +129,32 @@ class StreamingStackDistance:
 
         # Intra-chunk repeats are exact already; chunk-first references
         # (offline-cold within the chunk) need the cross-chunk terms.
-        dist = stack_distances(chunk)
-        first = np.flatnonzero(dist == COLD_DISTANCE)
-        if first.size:
-            pre_slot = self._lookup(chunk[first])
-            warm = pre_slot >= 0
-            if warm.any():
-                # A: live items at chunk entry whose slot is above p.
-                sorted_slots = np.sort(self._slots)
-                a_term = self._slots.size - np.searchsorted(
-                    sorted_slots, pre_slot[warm], side="right"
-                )
-                # B: chunk-first predecessors not already counted in A,
-                # i.e. with pre-chunk slot <= p (new items count too).
-                ks = np.flatnonzero(warm).astype(np.int64)
-                vs = pre_slot[warm] + 1
-                greater = _batched_rank_greater(pre_slot + 1, ks, vs)
-                dist[first[warm]] = a_term + (ks - greater)
+        prev, distinct, last = _occurrences(chunk)
+        dist = _reuse_distances(prev)
+        first = np.flatnonzero(prev < 0)
+        pre_slot = self._lookup(chunk[first])
+        warm = np.flatnonzero(pre_slot >= 0)
+        if warm.size:
+            p = pre_slot[warm]
+            # A: live items at chunk entry whose slot is above p.
+            a_term = self._slots.size - np.searchsorted(
+                np.sort(self._slots), p, side="right"
+            )
+            # B: chunk-first predecessors not already counted in A, i.e.
+            # with pre-chunk slot <= p (new items count too): all of them
+            # but the warm ones with a greater slot.
+            dist[first[warm]] = a_term + (warm - count_greater_before(p))
 
-        self._advance(chunk)
+        self._advance(distinct, last)
         return dist
 
     # ------------------------------------------------------------------
-    def _advance(self, chunk: np.ndarray) -> None:
-        """Re-slot the chunk's distinct items above all existing slots."""
-        # Distinct items with their last in-chunk position: the first
-        # occurrence in the reversed chunk is the last in the forward
-        # chunk.  np.unique returns items sorted, matching the table.
-        new_items, rev_idx = np.unique(chunk[::-1], return_index=True)
-        last_pos = chunk.size - 1 - rev_idx
+    def _advance(self, new_items: np.ndarray, last_pos: np.ndarray) -> None:
+        """Re-slot the chunk's distinct items above all existing slots.
+
+        ``new_items`` are sorted, matching the table; ``last_pos[i]`` is
+        the position of ``new_items[i]``'s last occurrence in the chunk.
+        """
         k = new_items.size
         # Slots are handed out in last-occurrence order so that slot
         # order stays recency order.

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.trace.fit as trace_fit
 from repro.trace.fit import CONVERGENCE_SCHEMA, ConvergenceStep, IncrementalFit
+from repro.trace.ingest import ingest
 from repro.trace.stackdist import stack_distances
+from repro.trace.store import TraceStoreWriter
 from repro.workloads.fitting import fit_from_distances
 
 
@@ -101,3 +104,36 @@ class TestConvergence:
         assert p.name == "ingested"
         assert p.gamma == 0.4
         assert p.alpha > 1.0 and p.beta > 0.0
+
+
+class TestOneSolvePerUpdate:
+    def test_ingest_solves_once_per_chunk(self, tmp_path, monkeypatch):
+        """``result()`` and ``params()`` reuse the last update's fit."""
+        solves = []
+        solver = trace_fit.fit_stack_distance_model
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(trace_fit, "fit_stack_distance_model", counting)
+        addrs = _zipf_addresses(4, n=5000, footprint=300)
+        container = tmp_path / "z.rtc"
+        with TraceStoreWriter(container, chunk_records=1024) as writer:
+            writer.append(addrs, work=1)
+        result = ingest(container, name="z", workload_dir=tmp_path / "wl")
+        assert result.stream.chunks == 5
+        assert len(solves) == 5
+
+        fresh = fit_from_distances(stack_distances(addrs))
+        assert result.fit.alpha == fresh.alpha == result.params.alpha
+        assert result.fit.beta == fresh.beta == result.params.beta
+        assert result.fit.rmse == fresh.rmse
+        assert result.fit.cold_fraction == fresh.cold_fraction
+        assert result.fit.max_distance == fresh.max_distance
+
+    def test_no_reuse_still_raises(self):
+        fit = IncrementalFit()
+        assert fit.update(stack_distances(np.arange(50))) is None
+        with pytest.raises(ValueError, match="no reuse"):
+            fit.result()

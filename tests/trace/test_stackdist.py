@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace.stackdist import (
     COLD_DISTANCE,
+    count_greater_before,
     hit_ratio,
     lru_hit_ratios,
     prev_occurrence,
@@ -124,3 +125,51 @@ class TestInclusionProperty:
         caps = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 64.0])
         curve = lru_hit_ratios(d, caps)
         assert np.all(np.diff(curve) >= -1e-12)
+
+
+def _greater_before_brute(values):
+    """O(n^2) reference: earlier elements greater than each element."""
+    return [sum(1 for u in range(i) if values[u] > values[i]) for i in range(len(values))]
+
+
+#: Lengths that straddle a power of two, where a bit level fills up.
+_EDGE_LENGTHS = sorted({2**k + d for k in range(1, 8) for d in (-1, 0, 1)})
+
+
+@st.composite
+def _counted_values(draw):
+    n = draw(st.one_of(st.integers(0, 40), st.sampled_from(_EDGE_LENGTHS)))
+    top = draw(st.sampled_from([0, 1, 3, 50, 2**20]))  # 0: all zero; small: ties
+    low = draw(st.sampled_from([0, -top]))
+    return draw(st.lists(st.integers(low, top), min_size=n, max_size=n))
+
+
+class TestCountGreaterBefore:
+    """The counting kernel both stack-distance engines share."""
+
+    @given(_counted_values())
+    @example([])
+    @example([5])
+    @example([0] * 9)
+    @example([2] * 16)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, values):
+        out = count_greater_before(np.asarray(values, dtype=np.int64))
+        assert out.dtype == np.int64
+        assert out.tolist() == _greater_before_brute(values)
+
+    @pytest.mark.parametrize("n", _EDGE_LENGTHS)
+    def test_lengths_around_powers_of_two(self, n):
+        values = np.random.default_rng(n).integers(0, max(2, n // 3), size=n)
+        assert count_greater_before(values).tolist() == _greater_before_brute(values.tolist())
+
+    def test_values_past_int32_are_exact(self):
+        """A value range of 2**31 or more cannot use int32 arrays."""
+        values = np.array(
+            [2**31 + 5, 0, 2**31, 7, 2**40, 2**31 + 5, 1, 2**31 - 1, 0, 2**33]
+        )
+        assert count_greater_before(values).tolist() == _greater_before_brute(values.tolist())
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError):
+            count_greater_before(np.zeros((2, 2), dtype=np.int64))
