@@ -51,12 +51,19 @@ from repro.cost.configspace import CandidateSpace
 from repro.cost.optimizer import ModelOptions, _batch_case, _predict, optimize_upgrade
 from repro.cost.recommend import recommend
 from repro.cost.search import METHODS
+from repro.service.api import (
+    PLATFORM_KEYS,
+    REQUEST_KEYS,
+    WORKLOAD_KEYS,
+    QueryError,
+    platform_from_obj,
+    registered_workloads,
+    workload_from_obj,
+)
 from repro.sim.latencies import NAMED_NETWORKS
 from repro.workloads.params import NAMED_WORKLOADS, WorkloadParams
 
 __all__ = ["main", "build_parser"]
-
-KB, MB = 1024, 1024 * 1024
 
 
 # -- argparse value validators -----------------------------------------
@@ -209,34 +216,16 @@ def _hetero_platform_arg(text: str):
     )
 
 
-def _registered_workloads(args: argparse.Namespace) -> dict:
-    """Workloads ingested into ``--workload-dir`` (name -> RegisteredWorkload)."""
-    workload_dir = getattr(args, "workload_dir", None)
-    if not workload_dir:
-        return {}
-    from repro.workloads.registry import load_registry
-
-    try:
-        return load_registry(workload_dir)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+def _request_obj(args: argparse.Namespace, keys) -> dict:
+    """The set flags named like request ``keys``, as a /v1 body: the CLI
+    and the service then parse the same keys with the same parsers."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 def _workload_from(args: argparse.Namespace) -> WorkloadParams:
-    if args.workload:
-        if args.workload in NAMED_WORKLOADS:
-            return NAMED_WORKLOADS[args.workload]
-        registered = _registered_workloads(args)
-        if args.workload in registered:
-            return registered[args.workload].params
-        known = ", ".join([*NAMED_WORKLOADS, *sorted(registered)])
-        raise SystemExit(f"unknown workload {args.workload!r}; known: {known}")
-    if args.alpha is None or args.beta is None or args.gamma is None:
-        raise SystemExit("provide --workload NAME or all of --alpha/--beta/--gamma")
-    try:
-        return WorkloadParams("custom", alpha=args.alpha, beta=args.beta, gamma=args.gamma)
-    except ValueError as exc:
-        raise SystemExit(f"{args.command}: bad workload: {exc}") from None
+    return workload_from_obj(
+        _request_obj(args, WORKLOAD_KEYS), getattr(args, "workload_dir", None)
+    )
 
 
 def _resolve_app(args: argparse.Namespace) -> None:
@@ -253,7 +242,7 @@ def _resolve_app(args: argparse.Namespace) -> None:
     name = getattr(args, "app", None)
     if not name or name in APPLICATIONS:
         return
-    registered = _registered_workloads(args)
+    registered = registered_workloads(args.workload_dir)
     workload = registered.get(name)
     if workload is None or not workload.container:
         known = sorted(APPLICATIONS) + sorted(
@@ -282,7 +271,7 @@ def _add_workload_dir_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
+def _add_workload_args(p: argparse.ArgumentParser, registry: bool = True) -> None:
     p.add_argument(
         "--workload",
         help="a Table 2 name (" + ", ".join(NAMED_WORKLOADS) + ") or an "
@@ -294,10 +283,11 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
         "--gamma", type=_fraction,
         help="memory-referencing instruction fraction, in (0, 1]",
     )
-    _add_workload_dir_arg(p)
+    if registry:
+        _add_workload_dir_arg(p)
 
 
-def _add_platform_args(p: argparse.ArgumentParser) -> None:
+def _add_platform_args(p: argparse.ArgumentParser, files: bool = True) -> None:
     p.add_argument("--machines", type=_positive_int, default=4, help="machine count N")
     p.add_argument(
         "--procs-per-machine", type=_positive_int, default=1,
@@ -317,6 +307,8 @@ def _add_platform_args(p: argparse.ArgumentParser) -> None:
         "--l2-kb", type=_positive_int, default=None,
         help="optional per-machine shared L2 (KB; hierarchy-length extension)",
     )
+    if not files:
+        return
     p.add_argument(
         "--platform", type=_platform_arg, default=None, metavar="NAME_OR_FILE",
         help="declarative platform: a built-in name (clump-of-smps, "
@@ -483,19 +475,12 @@ def _stats_line(stats) -> str:
 def _design_payload(outcome, include_frontier: bool) -> dict:
     from repro.cost.search import upgrade_path
 
-    result, stats = outcome.result, outcome.stats
+    result = outcome.result
     payload = {
         "workload": result.workload.name,
         "budget": result.budget,
         "best": result.best.as_dict(),
-        "stats": {
-            "candidates": stats.candidates,
-            "evaluated": stats.evaluated,
-            "pruned": stats.pruned,
-            "memo_hits": stats.memo_hits,
-            "pruning_ratio": stats.pruning_ratio,
-            "from_cache": stats.from_cache,
-        },
+        "stats": outcome.stats.as_dict(),
     }
     if include_frontier:
         payload["frontier"] = [r.as_dict() for r in outcome.frontier]
@@ -565,18 +550,7 @@ def _validate_upgrade_args(args: argparse.Namespace) -> None:
 def _platform_from(args: argparse.Namespace, name: str = "platform") -> PlatformSpec:
     if getattr(args, "platform", None) is not None:
         return args.platform
-    try:
-        return PlatformSpec(
-            name=name,
-            n=args.procs_per_machine,
-            N=args.machines,
-            cache_bytes=args.cache_kb * KB,
-            memory_bytes=args.memory_mb * MB,
-            network=NAMED_NETWORKS[args.network] if args.machines > 1 else None,
-            l2_bytes=args.l2_kb * KB if getattr(args, "l2_kb", None) else None,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"{args.command}: bad platform: {exc}") from None
+    return platform_from_obj(_request_obj(args, PLATFORM_KEYS), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -925,6 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".repro_cache",
         help="design/simulation disk cache ('' disables)",
     )
+    _add_workload_dir_arg(p)
     p.add_argument(
         "--inject", action="append", default=[], metavar="SPEC",
         help="service fault spec (repeatable): workerkill:after=N, "
@@ -986,8 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--app-arg", action="append", default=[], metavar="KEY=VALUE",
         help="application constructor override (simulate only; repeatable)",
     )
-    _add_workload_args(p)
-    _add_platform_args(p)
+    _add_workload_args(p, registry=False)
+    _add_platform_args(p, files=False)
     return parser
 
 
@@ -1069,7 +1044,7 @@ def _trace_command(args: argparse.Namespace) -> int:
         return 0
 
     assert args.trace_command == "list"
-    registered = _registered_workloads(args)
+    registered = registered_workloads(args.workload_dir)
     if not registered:
         print(f"no registered workloads in {args.workload_dir!r}")
         return 0
@@ -1098,7 +1073,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         level = "debug"
     if level is not None:
         set_level(level)
+    try:
+        return _run(args)
+    except QueryError as exc:  # a request the shared parsers reject
+        raise SystemExit(f"{args.command}: {exc}") from None
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "design" and args.mix:
         from repro.scheduling import design_mix
 
@@ -1144,12 +1125,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 extra_platforms=tuple(args.add_platform),
             )
         engine = DesignSearch(
-            space=space, method=args.method, jobs=args.jobs,
-            cache_dir=args.cache_dir or None,
+            space=space, jobs=args.jobs, cache_dir=args.cache_dir or None
         )
-        queries = [DesignQuery(workload, budget) for budget in args.budget]
         try:
-            outcomes = engine.run(queries)
+            outcomes = engine.run(
+                [DesignQuery(workload, b, args.method) for b in args.budget]
+            )
         except ValueError as exc:
             raise SystemExit(f"design: {exc}") from None
         if args.as_json:
@@ -1473,7 +1454,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 applicable.pop("coalesce_window", None)  # never coalesced
             if applicable:
                 config = config.with_policy(endpoint, **applicable)
-        api = QueryAPI(cache_dir=args.cache_dir or None)
+        api = QueryAPI(
+            cache_dir=args.cache_dir or None,
+            workload_dir=args.workload_dir or None,
+        )
         if chaos:
             print(chaos.describe(), file=sys.stderr)
         try:
@@ -1489,40 +1473,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "query":
         from repro.service.loadgen import http_request
 
-        body: dict[str, object] = {}
-        if args.endpoint in ("predict", "design"):
-            if args.workload:
-                body["workload"] = args.workload
-            else:
-                if args.alpha is None or args.beta is None or args.gamma is None:
-                    raise SystemExit(
-                        "provide --workload NAME or all of --alpha/--beta/--gamma"
-                    )
-                body.update(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
-        if args.endpoint == "predict":
-            body["mode"] = args.mode
-        if args.endpoint == "design":
-            if args.budget is None:
-                raise SystemExit("design queries need --budget DOLLARS")
-            body["budget"] = args.budget
-        if args.endpoint in ("predict", "simulate"):
-            body.update(
-                machines=args.machines,
-                procs_per_machine=args.procs_per_machine,
-                cache_kb=args.cache_kb,
-                memory_mb=args.memory_mb,
-                network=args.network,
-            )
-            if args.l2_kb is not None:
-                body["l2_kb"] = args.l2_kb
-        if args.endpoint == "simulate":
-            body["app"] = args.app
-            body["seed"] = args.seed
-            app_args = _parse_app_args(args.app_arg)
-            if app_args:
-                body["app_args"] = app_args
-        if args.deadline_s is not None:
-            body["deadline_s"] = args.deadline_s
+        # The server parses the body; a missing workload or budget is its 400.
+        body = _request_obj(args, REQUEST_KEYS[args.endpoint])
+        if args.endpoint == "simulate" and args.app_arg:
+            body["app_args"] = _parse_app_args(args.app_arg)
         try:
             status, answer = http_request(
                 args.host, args.port, "POST", f"/v1/{args.endpoint}", body

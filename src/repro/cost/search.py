@@ -37,7 +37,9 @@ Observability: ``design_candidates_total``, ``design_evaluations_total``,
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -99,6 +101,18 @@ class SearchStats:
         """Fraction of candidates never evaluated (0 = exhaustive)."""
         return self.pruned / self.candidates if self.candidates else 0.0
 
+    def as_dict(self) -> dict:
+        """The JSON shape of these stats (``repro design --json`` and
+        ``/v1/design`` both print it)."""
+        return {
+            "candidates": self.candidates,
+            "evaluated": self.evaluated,
+            "pruned": self.pruned,
+            "memo_hits": self.memo_hits,
+            "pruning_ratio": self.pruning_ratio,
+            "from_cache": self.from_cache,
+        }
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -117,11 +131,26 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class DesignQuery:
-    """One (workload, budget) question for the batch driver."""
+    """One (workload, budget) question, checked on construction: the
+    budget is a positive finite number (not a bool), stored as a float,
+    and ``method`` is ``None`` or one of :data:`METHODS`; ``ValueError``
+    otherwise."""
 
     workload: WorkloadParams
     budget: float
     method: str | None = None  #: override the engine's default method
+
+    def __post_init__(self) -> None:
+        budget = self.budget
+        if isinstance(budget, bool) or not (
+            isinstance(budget, numbers.Real) and 0 < budget <= sys.float_info.max
+        ):
+            raise ValueError(f"budget must be positive and finite, got {budget!r}")
+        if self.method is not None and self.method not in METHODS:
+            raise ValueError(
+                f"unknown search method {self.method!r}; use one of {METHODS}"
+            )
+        object.__setattr__(self, "budget", float(budget))
 
 
 def pareto_frontier(
@@ -446,9 +475,7 @@ class DesignSearch:
         self, workload: WorkloadParams, budget: float, method: str
     ) -> tuple:
         """Disk-cache key: everything that determines a search answer."""
-        return (
-            workload, self.catalog, self.space, self.options, float(budget), method,
-        )
+        return (workload, self.catalog, self.space, self.options, budget, method)
 
     def _cached(self, key: tuple) -> SearchOutcome | None:
         cached = self._cache.load("design", key, SearchOutcome)
@@ -467,15 +494,17 @@ class DesignSearch:
     ) -> SearchOutcome:
         """Answer one (workload, budget) design question, in-process.
 
-        Raises ``ValueError`` when no feasible parallel platform fits
-        the budget (matching :func:`~repro.cost.optimizer.optimize_cluster`).
+        Raises ``ValueError`` for a query :class:`DesignQuery` rejects, or
+        when no feasible parallel platform fits the budget (matching
+        :func:`~repro.cost.optimizer.optimize_cluster`).
         """
-        method = self._check_method(method)
-        disk_key = self._design_key(workload, budget, method)
+        q = DesignQuery(workload, budget, method)
+        method = q.method or self.method
+        disk_key = self._design_key(workload, q.budget, method)
         cached = self._cached(disk_key)
         if cached is not None:
             return cached
-        outcome = self._solve(workload, budget, self._candidates(budget), method)
+        outcome = self._solve(workload, q.budget, self._candidates(q.budget), method)
         self._cache.store("design", disk_key, outcome)
         return outcome
 
@@ -495,7 +524,7 @@ class DesignSearch:
         results: dict[int, SearchOutcome] = {}
         pending: list[tuple[int, DesignQuery, str, list, tuple]] = []
         for i, q in enumerate(queries):
-            method = self._check_method(q.method)
+            method = q.method or self.method
             disk_key = self._design_key(q.workload, q.budget, method)
             cached = self._cached(disk_key)
             if cached is not None:
@@ -531,17 +560,9 @@ class DesignSearch:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _check_method(self, method: str | None) -> str:
-        method = method or self.method
-        if method not in METHODS:
-            raise ValueError(f"unknown search method {method!r}; use one of {METHODS}")
-        return method
-
     def _candidates(self, budget: float) -> list[tuple[int, PlatformSpec, float]]:
         """``(enumeration_index, spec, price)`` of every candidate priced
         within ``budget``, in enumeration order."""
-        if budget <= 0:
-            raise ValueError("budget must be positive")
         if self._enumeration is None:
             self._enumeration = list(
                 enumerate_configurations(math.inf, self.catalog, self.space)

@@ -27,6 +27,7 @@ contracts the server then inherits:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -34,6 +35,7 @@ from repro.core.amat import zero_contention_amat
 from repro.core.execution import MODES, e_instr_seconds
 from repro.core.platform import PlatformSpec
 from repro.cost.optimizer import ModelOptions, _batch_case, _predict_batch
+from repro.cost.search import DesignQuery, DesignSearch
 from repro.sim.latencies import NAMED_NETWORKS as NETWORKS
 from repro.workloads.params import NAMED_WORKLOADS as WORKLOADS, WorkloadParams
 
@@ -46,8 +48,16 @@ __all__ = [
     "SimulateAnswer",
     "WORKLOADS",
     "NETWORKS",
+    "WORKLOAD_KEYS",
+    "PLATFORM_KEYS",
+    "MAX_PROCESSORS",
+    "REQUEST_KEYS",
+    "request_body",
+    "registered_workloads",
     "workload_from_obj",
     "platform_from_obj",
+    "design_query",
+    "deadline_from_obj",
 ]
 
 KB, MB = 1024, 1024 * 1024
@@ -154,22 +164,73 @@ class SimulateAnswer:
 
 
 # ---------------------------------------------------------------------------
-# wire-shape parsing (shared by the server, the load generator and
-# ``repro query``); raises QueryError so the server can answer 400
+# request parsing: one parser per vocabulary, shared by the server and the
+# CLI (whose flags become these keys).  Each raises QueryError: the
+# server's 400, the CLI's ``<command>: <message>`` exit.
+
+#: The largest platform a request may describe, in processors.  Folding
+#: a platform walks one leaf path per machine, and predict waves run one
+#: at a time, so an unbounded shape would stall every predict queued
+#: behind it; the candidate space's largest platform has 64.
+MAX_PROCESSORS = 1024
+
+_FLOAT_MAX = sys.float_info.max
+
+WORKLOAD_KEYS = ("workload", "alpha", "beta", "gamma")
+PLATFORM_KEYS = (
+    "machines", "procs_per_machine", "cache_kb", "memory_mb", "network", "l2_kb", "name",
+)
+
+#: The keys each endpoint's body may carry; any other key is a 400.
+REQUEST_KEYS = {
+    "predict": (*WORKLOAD_KEYS, *PLATFORM_KEYS, "mode", "deadline_s"),
+    "design": (*WORKLOAD_KEYS, "budget", "method", "deadline_s"),
+    "simulate": ("app", "seed", "app_args", *PLATFORM_KEYS, "deadline_s"),
+}
 
 
-def workload_from_obj(obj: Mapping) -> WorkloadParams:
-    """A workload from ``{"workload": NAME}`` or explicit parameters."""
+def request_body(endpoint: str, obj) -> dict:
+    """``obj`` as an ``endpoint`` body: a JSON object of known keys."""
+    if not isinstance(obj, dict):
+        raise QueryError("request body must be a JSON object")
+    keys = REQUEST_KEYS[endpoint]
+    for key in obj:
+        if key not in keys:
+            raise QueryError(f"unknown key {key!r}; {endpoint} takes {', '.join(keys)}")
+    return obj
+
+
+def registered_workloads(workload_dir: str | None) -> dict:
+    """Workloads ingested into ``workload_dir`` (``repro trace ingest``),
+    by name; ``None`` or ``""`` is an empty registry."""
+    if not workload_dir:
+        return {}
+    from repro.workloads.registry import load_registry
+
+    try:
+        return load_registry(workload_dir)
+    except ValueError as exc:
+        raise QueryError(str(exc)) from None
+
+
+def workload_from_obj(obj: Mapping, workload_dir: str | None = None) -> WorkloadParams:
+    """A workload from ``{"workload": NAME}`` or explicit parameters.
+
+    NAME is a built-in Table 2 name or else a workload registered in
+    ``workload_dir``, which is read only for a name that is not built
+    in, so a corrupt registry cannot break ``"FFT"``.
+    """
     name = obj.get("workload")
     if name is not None:
         if not isinstance(name, str):
             raise QueryError(f"'workload' must be a string, got {name!r}")
-        try:
+        if name in WORKLOADS:
             return WORKLOADS[name]
-        except KeyError:
-            raise QueryError(
-                f"unknown workload {name!r}; known: {', '.join(WORKLOADS)}"
-            ) from None
+        registered = registered_workloads(workload_dir)
+        if name not in registered:
+            known = ", ".join([*WORKLOADS, *sorted(registered)])
+            raise QueryError(f"unknown workload {name!r}; known: {known}")
+        return registered[name].params
     try:
         return WorkloadParams(
             "custom",
@@ -181,20 +242,32 @@ def workload_from_obj(obj: Mapping) -> WorkloadParams:
         raise QueryError(
             "provide 'workload' or all of 'alpha'/'beta'/'gamma'"
         ) from exc
-    except (TypeError, ValueError) as exc:
-        raise QueryError(f"bad workload parameters: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise QueryError(f"bad workload: {exc}") from exc
 
 
 def platform_from_obj(obj: Mapping, name: str = "query") -> PlatformSpec:
-    """A platform from the CLI's flag vocabulary as JSON keys."""
+    """A flat platform from the shape keys; the only code that builds a
+    flat :class:`PlatformSpec` from shape values.  At most
+    :data:`MAX_PROCESSORS` processors, and every size in bytes fits a
+    float."""
 
-    def _pos_int(key: str, default: int) -> int:
+    def _pos_int(key: str, default: int, unit: int = 1) -> int:
         value = obj.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise QueryError(f"{key!r} must be a positive integer, got {value!r}")
+        if isinstance(value, bool) or not (
+            isinstance(value, int) and 1 <= value * unit <= _FLOAT_MAX
+        ):
+            raise QueryError(
+                f"{key!r} must be a positive integer within float range, got {value!r}"
+            )
         return value
 
-    machines = _pos_int("machines", 4)
+    machines, procs = _pos_int("machines", 4), _pos_int("procs_per_machine", 1)
+    if machines * procs > MAX_PROCESSORS:
+        raise QueryError(
+            f"bad platform: {machines} x {procs} processors exceed the limit "
+            f"of {MAX_PROCESSORS}"
+        )
     network = obj.get("network", "ethernet100")
     if not isinstance(network, str):
         raise QueryError(f"'network' must be a string, got {network!r}")
@@ -206,15 +279,36 @@ def platform_from_obj(obj: Mapping, name: str = "query") -> PlatformSpec:
     try:
         return PlatformSpec(
             name=str(obj.get("name", name)),
-            n=_pos_int("procs_per_machine", 1),
+            n=procs,
             N=machines,
-            cache_bytes=_pos_int("cache_kb", 256) * KB,
-            memory_bytes=_pos_int("memory_mb", 64) * MB,
+            cache_bytes=_pos_int("cache_kb", 256, KB) * KB,
+            memory_bytes=_pos_int("memory_mb", 64, MB) * MB,
             network=NETWORKS[network] if machines > 1 else None,
-            l2_bytes=_pos_int("l2_kb", 1) * KB if l2_kb is not None else None,
+            l2_bytes=_pos_int("l2_kb", 1, KB) * KB if l2_kb is not None else None,
         )
     except ValueError as exc:
         raise QueryError(f"bad platform: {exc}") from exc
+
+
+def design_query(workload: WorkloadParams, budget, method=None) -> DesignQuery:
+    """A :class:`DesignQuery`, its budget and method checks as QueryError."""
+    try:
+        return DesignQuery(workload, budget, method)
+    except ValueError as exc:
+        raise QueryError(str(exc)) from None
+
+
+def deadline_from_obj(obj, default: float) -> float:
+    """The relative deadline in seconds, ``deadline_s`` or ``default``:
+    positive and finite, so every request is answered or shed."""
+    if not isinstance(obj, dict):
+        raise QueryError("request body must be a JSON object")
+    rel = obj.get("deadline_s", default)
+    if isinstance(rel, bool) or not (
+        isinstance(rel, (int, float)) and 0 < rel <= _FLOAT_MAX
+    ):
+        raise QueryError(f"'deadline_s' must be a positive finite number, got {rel!r}")
+    return float(rel)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +327,13 @@ class QueryAPI:
         self,
         *,
         cache_dir: str | None = None,
+        workload_dir: str | None = None,
         horizon: float = 200.0,
         metrics=None,
     ) -> None:
-        from repro.cost.search import DesignSearch
-
         self.cache_dir = cache_dir
+        #: Registry of ingested workloads that request bodies may name.
+        self.workload_dir = workload_dir
         self.horizon = horizon
         kwargs = {"metrics": metrics} if metrics is not None else {}
         self._search = DesignSearch(cache_dir=cache_dir, **kwargs)
@@ -246,10 +341,6 @@ class QueryAPI:
         self._runners: dict[tuple, object] = {}
 
     # -- predict --------------------------------------------------------
-    @staticmethod
-    def predict_request(workload: WorkloadParams, spec: PlatformSpec, mode: str = "throttled") -> PredictRequest:
-        return PredictRequest(workload, spec, mode)
-
     def predict(
         self, workload: WorkloadParams, spec: PlatformSpec, mode: str = "throttled"
     ) -> PredictAnswer:
@@ -319,28 +410,17 @@ class QueryAPI:
     def design(
         self, workload: WorkloadParams, budget: float, method: str | None = None
     ) -> DesignAnswer:
-        return self.design_batch([(workload, budget, method)])[0]
+        return self.design_batch([design_query(workload, budget, method)])[0]
 
-    def design_batch(
-        self, queries: Sequence[tuple[WorkloadParams, float, str | None]]
-    ) -> list[DesignAnswer]:
+    def design_batch(self, queries: Sequence[DesignQuery]) -> list[DesignAnswer]:
         """Answer design queries through one shared in-process engine.
 
         The engine's evaluation memo is shared across the batch (and
         across batches), and memo hits replay exact floats, so batching
         never changes an answer — only how much work it costs.
         """
-        from repro.cost.search import DesignQuery
-
-        if not queries:
-            return []
-        for _workload, budget, _method in queries:
-            if not (isinstance(budget, (int, float)) and budget > 0):
-                raise QueryError(f"budget must be a positive number, got {budget!r}")
         try:
-            outcomes = self._search.run(
-                [DesignQuery(w, float(b), m) for w, b, m in queries]
-            )
+            outcomes = self._search.run(queries)
         except ValueError as exc:
             raise QueryError(str(exc)) from exc
         return [
@@ -348,13 +428,7 @@ class QueryAPI:
                 workload=o.result.workload.name,
                 budget=o.result.budget,
                 best=o.result.best.as_dict(),
-                stats={
-                    "candidates": o.stats.candidates,
-                    "evaluated": o.stats.evaluated,
-                    "pruned": o.stats.pruned,
-                    "memo_hits": o.stats.memo_hits,
-                    "from_cache": o.stats.from_cache,
-                },
+                stats=o.stats.as_dict(),
             )
             for o in outcomes
         ]
@@ -390,17 +464,24 @@ class QueryAPI:
 
         The server ships this tuple to its worker pool; in-process
         callers use :meth:`simulate_submit` instead.  Raises
-        :class:`QueryError` for an unknown application so the 400 fires
-        before any worker is touched.
+        :class:`QueryError` for an unknown application, a non-integer
+        seed or non-object ``app_args`` so the 400 fires before any
+        worker is touched.
         """
         from repro.apps.registry import APPLICATIONS
 
+        if not isinstance(app, str):
+            raise QueryError("'app' must be an application name string")
         if app not in APPLICATIONS:
             raise QueryError(
                 f"unknown application {app!r}; known: {', '.join(sorted(APPLICATIONS))}"
             )
-        kwargs = dict(app_args or {})
-        return (app, int(seed), kwargs, spec, self.horizon, None, None, False)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise QueryError(f"'seed' must be an integer, got {seed!r}")
+        kwargs = app_args or {}
+        if not isinstance(kwargs, dict):
+            raise QueryError("'app_args' must be an object")
+        return (app, seed, dict(kwargs), spec, self.horizon, None, None, False)
 
     def simulate_submit(
         self,

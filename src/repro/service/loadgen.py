@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.service.api import QueryError
 from repro.service.chaos import ServiceFaultPlan
 from repro.service.coalesce import PendingRequest, next_wave, percentile
 from repro.service.server import ServiceCore
@@ -321,7 +322,7 @@ def replay(
             try:
                 payload = core.parse(q.endpoint, q.body)
                 deadline = core.deadline_for(q.endpoint, q.body, now)
-            except Exception as exc:
+            except QueryError as exc:
                 core.requests_total.labels(endpoint=q.endpoint, outcome="error").inc()
                 _record(idx, q.endpoint, now, "error", None, 0.0, exc)
                 continue

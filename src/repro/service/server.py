@@ -33,7 +33,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.backoff import RetryBudget, backoff_delay
-from repro.cost.search import METHODS
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.obs.spans import get_tracer
@@ -42,7 +41,10 @@ from repro.service.api import (
     PredictRequest,
     QueryAPI,
     QueryError,
+    deadline_from_obj,
+    design_query,
     platform_from_obj,
+    request_body,
     workload_from_obj,
 )
 from repro.service.breaker import CLOSED, CircuitBreaker
@@ -222,43 +224,29 @@ class ServiceCore:
     def parse(self, endpoint: str, obj: dict) -> object:
         """Endpoint payload -> the pure-API argument object (QueryError
         on malformed input, before any queueing)."""
-        if not isinstance(obj, dict):
-            raise QueryError("request body must be a JSON object")
+        body = request_body(endpoint, obj)
         if endpoint == "predict":
             return PredictRequest(
-                workload_from_obj(obj),
-                platform_from_obj(obj),
-                str(obj.get("mode", "throttled")),
+                workload_from_obj(body, self.api.workload_dir),
+                platform_from_obj(body),
+                body.get("mode", "throttled"),
             )
         if endpoint == "design":
-            budget = obj.get("budget")
-            if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget <= 0:
-                raise QueryError(f"'budget' must be a positive number, got {budget!r}")
-            method = obj.get("method")
-            if method is not None and method not in METHODS:
-                raise QueryError(f"unknown design method {method!r}; use one of {METHODS}")
-            return (workload_from_obj(obj), float(budget), method)
-        if endpoint == "simulate":
-            app = obj.get("app")
-            if not isinstance(app, str):
-                raise QueryError("'app' must be an application name string")
-            seed = obj.get("seed", 0)
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise QueryError(f"'seed' must be an integer, got {seed!r}")
-            app_args = obj.get("app_args") or {}
-            if not isinstance(app_args, dict):
-                raise QueryError("'app_args' must be an object")
-            return self.api.simulate_args(
-                app, platform_from_obj(obj), seed=seed, app_args=app_args
+            return design_query(
+                workload_from_obj(body, self.api.workload_dir),
+                body.get("budget"),
+                body.get("method"),
             )
-        raise QueryError(f"unknown endpoint {endpoint!r}")
+        return self.api.simulate_args(
+            body.get("app"),
+            platform_from_obj(body),
+            seed=body.get("seed", 0),
+            app_args=body.get("app_args"),
+        )
 
     def deadline_for(self, endpoint: str, obj: dict, arrival: float) -> float:
         """Absolute deadline: client ``deadline_s`` or the policy default."""
-        rel = obj.get("deadline_s", self.config.policy(endpoint).deadline)
-        if not isinstance(rel, (int, float)) or isinstance(rel, bool) or rel <= 0:
-            raise QueryError(f"'deadline_s' must be a positive number, got {rel!r}")
-        return arrival + float(rel)
+        return arrival + deadline_from_obj(obj, self.config.policy(endpoint).deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,22 @@ class TestParsing:
         with pytest.raises(QueryError, match="alpha"):
             workload_from_obj({"alpha": 1.5})
 
+    def test_registered_workload(self, tmp_path):
+        from repro.workloads.params import WorkloadParams
+        from repro.workloads.registry import RegisteredWorkload, save_workload
+
+        params = WorkloadParams("mine", alpha=1.4, beta=300.0, gamma=0.3)
+        save_workload(tmp_path, RegisteredWorkload(params=params, source="test"))
+        assert workload_from_obj({"workload": "mine"}, str(tmp_path)) == params
+        with pytest.raises(QueryError, match="unknown workload 'mine'"):
+            workload_from_obj({"workload": "mine"})  # no registry given
+
+    def test_corrupt_registry_cannot_break_a_built_in_name(self, tmp_path):
+        (tmp_path / "bad.workload.json").write_text("{not json")
+        assert workload_from_obj({"workload": "FFT"}, str(tmp_path)) is WORKLOADS["FFT"]
+        with pytest.raises(QueryError, match="bad.workload.json"):
+            workload_from_obj({"workload": "mine"}, str(tmp_path))
+
     def test_platform_defaults_and_units(self):
         spec = platform_from_obj({})
         assert (spec.N, spec.n) == (4, 1)
@@ -215,3 +231,45 @@ class TestSimulate:
         obj = answer.to_obj()
         assert isinstance(obj["total_cycles"], float)  # JSON-safe, not np
         assert isinstance(obj["total_references"], int)
+
+
+#: ``repro predict`` shape flags and the ``/v1/predict`` keys they mean:
+#: an SMP, a COW, a CLUMP, an L2 CLUMP and a slow-network COW.
+PARITY_SHAPES = [
+    (["--machines", "1", "--procs-per-machine", "4"],
+     {"machines": 1, "procs_per_machine": 4}),
+    (["--machines", "4"], {"machines": 4}),
+    (["--machines", "4", "--procs-per-machine", "2", "--network", "atm",
+      "--cache-kb", "512"],
+     {"machines": 4, "procs_per_machine": 2, "network": "atm", "cache_kb": 512}),
+    (["--machines", "2", "--procs-per-machine", "2", "--l2-kb", "1024",
+      "--memory-mb", "128"],
+     {"machines": 2, "procs_per_machine": 2, "l2_kb": 1024, "memory_mb": 128}),
+    (["--machines", "8", "--network", "ethernet10", "--cache-kb", "64",
+      "--memory-mb", "32"],
+     {"machines": 8, "network": "ethernet10", "cache_kb": 64, "memory_mb": 32}),
+]
+
+
+class TestCliParity:
+    """``repro predict`` flags and the matching ``/v1/predict`` body
+    resolve the same request and price it to the same float."""
+
+    @pytest.mark.parametrize("mode", ["open", "throttled", "mva"])
+    @pytest.mark.parametrize("flags, body", PARITY_SHAPES)
+    def test_flags_and_body_agree(self, api, flags, body, mode):
+        from repro.cli import _platform_from, _workload_from, build_parser
+        from repro.cost.optimizer import ModelOptions, _predict
+
+        for name in WORKLOADS:
+            args = build_parser().parse_args(
+                ["predict", "--workload", name, "--mode", mode, *flags]
+            )
+            spec, workload = _platform_from(args), _workload_from(args)
+            assert spec == platform_from_obj(body, "platform")
+            assert workload == workload_from_obj({"workload": name})
+            cli = _predict(spec, workload, ModelOptions(mode=mode)).e_instr_seconds
+            served = api.predict(
+                workload_from_obj({"workload": name}), platform_from_obj(body), mode
+            )
+            assert served.e_instr_seconds == cli

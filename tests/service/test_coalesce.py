@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cost.search import DesignQuery
 from repro.service.api import (
     WORKLOADS,
     PredictRequest,
@@ -140,12 +141,12 @@ class TestPredictBitIdentity:
 class TestDesignBitIdentity:
     def test_coalesced_design_waves_match_singles(self):
         queries = [
-            (WORKLOADS["FFT"], 100_000.0, None),
-            (WORKLOADS["LU"], 50_000.0, None),
-            (WORKLOADS["FFT"], 100_000.0, None),  # duplicate: memo replay
+            DesignQuery(WORKLOADS["FFT"], 100_000.0),
+            DesignQuery(WORKLOADS["LU"], 50_000.0),
+            DesignQuery(WORKLOADS["FFT"], 100_000.0),  # duplicate: memo replay
         ]
         singles_api = QueryAPI(cache_dir=None)
-        singles = [singles_api.design(w, b, m) for w, b, m in queries]
+        singles = [singles_api.design(q.workload, q.budget) for q in queries]
         batched = QueryAPI(cache_dir=None).design_batch(queries)
         for a, b in zip(singles, batched):
             assert a.best == b.best  # exact floats inside

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import json
 
 import pytest
 
+from repro.cli import main
 from repro.cost.search import METHODS
 from repro.obs.metrics import MetricsRegistry
-from repro.service.api import QueryAPI
+from repro.service.api import QueryAPI, platform_from_obj, workload_from_obj
 from repro.service.chaos import ServiceFaultPlan, SlowDependency, WorkerKill
 from repro.service.config import ServiceConfig
 from repro.service.loadgen import http_request
@@ -39,7 +41,7 @@ SIM_BODY = {
 }
 
 
-def drive(client, config=None, chaos=None):
+def drive(client, config=None, chaos=None, api=None):
     """Boot a service, run ``client(request)`` in a worker thread, stop.
 
     ``request(method, path, body=None)`` is a blocking single-request
@@ -48,7 +50,7 @@ def drive(client, config=None, chaos=None):
 
     async def _main():
         service = QueryService(
-            QueryAPI(cache_dir=None),
+            api or QueryAPI(cache_dir=None),
             config or ServiceConfig(jobs=1),
             chaos=chaos,
             metrics=MetricsRegistry(),
@@ -94,7 +96,8 @@ class TestRoutes:
         assert status == 200
         assert obj["best"]["price"] <= 50_000
         assert set(obj["stats"]) == {
-            "candidates", "evaluated", "pruned", "memo_hits", "from_cache",
+            "candidates", "evaluated", "pruned", "memo_hits", "pruning_ratio",
+            "from_cache",
         }
 
     def test_bad_body_is_a_400_with_an_error_message(self):
@@ -112,6 +115,27 @@ class TestRoutes:
             assert status == 400
             assert "error" in obj
         assert all(m in answers[-1][1]["error"] for m in METHODS)
+
+    def test_oversize_and_non_finite_numbers_are_400s(self):
+        # json.loads admits NaN and Infinity, and an integer too large for
+        # a float used to escape the parser as an OverflowError (a 500).
+        def client(request, service):
+            return [
+                request("POST", "/v1/predict",
+                        {"alpha": 10**401, "beta": 5, "gamma": 0.3, **PLATFORM}),
+                request("POST", "/v1/predict",
+                        {"workload": "FFT", "deadline_s": float("nan"), **PLATFORM}),
+                request("POST", "/v1/design",
+                        {"workload": "FFT", "budget": float("inf")}),
+            ]
+
+        answers = drive(client)
+        assert [status for status, _ in answers] == [400, 400, 400]
+        for (_, obj), message in zip(answers, (
+            "bad workload: int too large", "must be a positive finite",
+            "must be positive and finite",
+        )):
+            assert message in obj["error"]
 
     def test_unknown_route_and_method(self):
         def client(request, service):
@@ -297,3 +321,80 @@ class TestSimulatePath:
         assert status == 504
         assert obj["reason"] in ("deadline", "timeout")
         assert obj["shed"] is True
+
+
+class TestCliParity:
+    """``repro query`` and the CLI commands against the real server."""
+
+    FLAGS = ["--workload", "LU", "--machines", "2", "--procs-per-machine", "2",
+             "--cache-kb", "128", "--network", "atm"]
+
+    def test_query_predict_prints_the_pure_api_answer(self, capsys):
+        def client(request, service):
+            argv = ["query", "predict", "--port", str(service.port),
+                    "--mode", "open", *self.FLAGS]
+            return main(argv), capsys.readouterr().out
+
+        code, out = drive(client)
+        body = {"workload": "LU", "machines": 2, "procs_per_machine": 2,
+                "cache_kb": 128, "network": "atm"}
+        expected = QueryAPI(cache_dir=None).predict(
+            workload_from_obj(body), platform_from_obj(body), "open"
+        )
+        assert code == 0
+        assert out == json.dumps(expected.to_obj(), indent=2, sort_keys=True) + "\n"
+
+    def test_query_design_prints_the_design_json_stats(self, capsys):
+        def client(request, service):
+            argv = ["query", "design", "--port", str(service.port),
+                    "--workload", "FFT", "--budget", "20000"]
+            return main(argv), capsys.readouterr().out
+
+        code, out = drive(client)
+        assert code == 0
+        served = json.loads(out)
+        assert main(["design", "--workload", "FFT", "--budget", "20000",
+                     "--json", "--cache-dir", ""]) == 0
+        [printed] = json.loads(capsys.readouterr().out)
+        assert "pruning_ratio" in served["stats"]
+        assert served["stats"] == printed["stats"]
+        assert served["best"] == printed["best"]
+
+    def test_query_has_no_platform_flag(self, capsys):
+        # It used to parse --platform and then send the shape defaults.
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "predict", "--workload", "FFT",
+                  "--platform", "clump-of-smps"])
+        assert exc.value.code == 2
+        assert "--platform" in capsys.readouterr().err
+
+    def test_registered_workload_answers_like_the_cli(self, tmp_path, capsys):
+        from repro.workloads.params import WorkloadParams
+        from repro.workloads.registry import RegisteredWorkload, save_workload
+
+        wl_dir = str(tmp_path / "workloads")
+        params = WorkloadParams(
+            "mine", alpha=1.4, beta=300.0, gamma=0.3, max_distance=40_000.0,
+            sharing_fraction=0.1,
+        )
+        save_workload(wl_dir, RegisteredWorkload(params=params, source="test"))
+        body = {"workload": "mine", **PLATFORM}
+
+        def client(request, service):
+            return request("POST", "/v1/predict", body)
+
+        status, obj = drive(
+            client, api=QueryAPI(cache_dir=None, workload_dir=wl_dir)
+        )
+        assert status == 200 and obj["workload"] == "mine"
+        assert main(["predict", "--workload", "mine", "--workload-dir", wl_dir,
+                     "--machines", "2", "--procs-per-machine", "2"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line == f"E(Instr) = {obj['e_instr_seconds']:.3e} s/instruction"
+
+        from repro.cost.optimizer import ModelOptions, _predict
+
+        cli_seconds = _predict(
+            platform_from_obj(body), params, ModelOptions()
+        ).e_instr_seconds
+        assert obj["e_instr_seconds"] == cli_seconds

@@ -35,7 +35,7 @@ class TestDesign:
             main(["design", "--workload", "nope", "--budget", "5000"])
 
     def test_missing_workload_spec(self):
-        with pytest.raises(SystemExit, match="provide --workload"):
+        with pytest.raises(SystemExit, match="provide 'workload' or all of"):
             main(["design", "--budget", "5000"])
 
 

@@ -176,6 +176,20 @@ class TestDocsMatchCode:
                 f"SERVICE.md's shed taxonomy misses {reason!r}"
             )
 
+    def test_service_doc_request_keys_match_the_parser(self):
+        from repro.service.api import REQUEST_KEYS
+
+        lines = (ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8").splitlines()
+        header = lines.index("| key | endpoints | meaning |")
+        documented: dict[str, set[str]] = {ep: set() for ep in REQUEST_KEYS}
+        for line in lines[header + 2:]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            keys, endpoints = line.split("|")[1:3]
+            for endpoint in endpoints.split(","):
+                documented[endpoint.strip()] |= set(re.findall(r"`(\w+)`", keys))
+        assert documented == {ep: set(keys) for ep, keys in REQUEST_KEYS.items()}
+
     def test_scheduling_doc_is_connected_both_ways(self):
         refs = _md_references(ROOT / "docs" / "SCHEDULING.md")
         assert {"docs/ARCHITECTURE.md", "docs/MODEL.md", "docs/COST.md",
