@@ -50,6 +50,8 @@ class RadixApplication(SpmdApplication):
         seed: int = 0,
     ) -> None:
         super().__init__(num_procs=num_procs, seed=seed)
+        if not 0 < digit_bits <= key_bits <= 64:
+            raise ValueError("need 0 < digit_bits <= key_bits <= 64 (keys are uint64)")
         if num_keys % num_procs:
             raise ValueError("num_keys must be divisible by num_procs")
         if key_bits % digit_bits:

@@ -124,8 +124,9 @@ def enumerate_configurations(
                                     else None
                                 ),
                             )
-                            # Price the full-size parts regardless of scaling.
-                            full = PlatformSpec(
+                            # Price the full-size parts regardless of scaling
+                            # (unscaled, the spec is its own full-size twin).
+                            full = spec if space.size_scale == 1 else PlatformSpec(
                                 name=spec.name,
                                 n=n,
                                 N=N,
@@ -170,9 +171,11 @@ def _deepened(
             continue
         for rack_net in space.rack_networks:
             deep = deepen_spec(spec, rack_size, intra_network=rack_net)
-            deep_price = cluster_cost(
-                catalog, deepen_spec(full, rack_size, intra_network=rack_net)
+            deep_full = (
+                deep if full is spec
+                else deepen_spec(full, rack_size, intra_network=rack_net)
             )
+            deep_price = cluster_cost(catalog, deep_full)
             if deep_price <= budget:
                 yield deep, deep_price
 

@@ -11,16 +11,21 @@ questions cheap, none of it changing an answer:
    budget, so the mask yields the same candidates in the same order).
 2. **Batched, memoized evaluation** — candidates go through
    :func:`repro.core.batch.e_instr_seconds_batch` (each answer exactly
-   what :func:`~repro.core.execution.evaluate` gives alone); a
-   per-engine memo keyed on ``(workload locality/gamma, spec, sharing,
-   fresh, rra)`` reuses evaluations across queries, and a second one
-   folds each platform's hierarchy once.
+   what :func:`~repro.core.execution.evaluate` gives alone).  The engine
+   keeps one memo per workload, keyed on the workload object itself, that
+   maps a candidate's enumeration index to its E(Instr): the catalog,
+   space and options are fixed per engine, so an index names one model
+   input, and no entry can cross workloads.  Evaluations are reused
+   across queries by an int lookup, and a second memo folds each
+   platform's hierarchy once.
 3. **Pareto pruning** — ``method="pareto"`` visits candidates in
    ascending order of the admissible zero-contention lower bound
    (:func:`repro.core.batch.e_instr_lower_bounds`) and skips one only
    when a configuration already evaluated at equal or lower price is
    strictly faster than its bound, which keeps the optimum and the exact
-   price/time frontier (see ``docs/COST.md``).
+   price/time frontier (see ``docs/COST.md``).  Bounds are memoised like
+   evaluations, per workload by enumeration index, so a budget sweep
+   computes each candidate's bound once.
 4. **Batch fan-out and a disk cache** — a *batch* of queries can fan
    out one query, with its candidates, per worker of
    :class:`repro.pool.FaultTolerantPool` (worker crashes retry and
@@ -254,7 +259,8 @@ def _search_core(
     candidates: Sequence[tuple[int, PlatformSpec, float]],
     options: ModelOptions,
     method: str,
-    memo: dict | None = None,
+    seconds: dict[int, float] | None = None,
+    bounds: dict[int, float] | None = None,
     hierarchies: dict | None = None,
 ) -> tuple[list[tuple[int, float, float]], int, int]:
     """Evaluate one candidate set; the engine's exact core.
@@ -262,9 +268,17 @@ def _search_core(
     ``candidates`` is ``(enumeration_index, spec, price)`` triples.  Returns
     ``(feasible, evaluated, memo_hits)`` where ``feasible`` holds
     ``(enumeration_index, price, e_instr_seconds)`` of every candidate
-    whose model was computed and came back finite.  ``hierarchies`` is
-    the hierarchy-fold memo handed to the batch entry points; without
-    one the call keeps its own, so bounds and evaluations share folds.
+    whose model was computed and came back finite.
+
+    ``seconds`` and ``bounds`` are this *workload's* memos of E(Instr)
+    and of the lower bound, keyed by enumeration index: the caller keeps
+    one pair per workload over one enumeration, catalog and
+    :class:`ModelOptions`, so an index names one model input.  Without
+    them the call keeps its own.  ``hierarchies`` is the hierarchy-fold
+    memo handed to the batch entry points; without one the call keeps
+    its own, so bounds and evaluations share folds.  A candidate's
+    :class:`~repro.core.batch.BatchCase` is built only when one of its
+    model values is missing.
 
     ``"exhaustive"`` evaluates every candidate.  ``"pareto"`` prunes a
     candidate only when its admissible lower bound *strictly* exceeds the
@@ -273,58 +287,32 @@ def _search_core(
     <= any exact time — is ever skipped (docs/COST.md has the argument).
     """
     locality, gamma = workload.locality, workload.gamma
-    # The memo must key on the *workload* too, not just the candidate:
-    # two workloads can share a spec and all sharing parameters while
-    # differing in locality (alpha/beta/max_distance) or gamma, and the
-    # memo outlives a single query.
-    wkey = (locality, gamma)
-    if hierarchies is None:
-        hierarchies = {}
-    cases = [_batch_case(spec, workload, options) for _, spec, _ in candidates]
+    seconds = {} if seconds is None else seconds
+    bounds = {} if bounds is None else bounds
+    hierarchies = {} if hierarchies is None else hierarchies
     feasible: list[tuple[int, float, float]] = []
     evaluated = 0
     memo_hits = 0
 
+    def cases(positions: list[int]) -> list:
+        return [_batch_case(candidates[p][1], workload, options) for p in positions]
+
     def eval_positions(positions: list[int]) -> list[float]:
         nonlocal evaluated, memo_hits
-        seconds: dict[int, float] = {}
-        misses: list[int] = []
-        for p in positions:
-            case = cases[p]
-            key = (
-                wkey,
-                case.spec,
-                case.sharing_fraction,
-                case.sharing_fresh_fraction,
-                case.remote_rate_adjustment,
-            )
-            if memo is not None and key in memo:
-                seconds[p] = memo[key]
-                memo_hits += 1
-            else:
-                misses.append(p)
+        misses = [p for p in positions if candidates[p][0] not in seconds]
+        memo_hits += len(positions) - len(misses)
         if misses:
             values = e_instr_seconds_batch(
-                [cases[p] for p in misses], locality, gamma,
+                cases(misses), locality, gamma,
                 hierarchy_memo=hierarchies, **_batch_kwargs(options),
             )
             evaluated += len(misses)
-            for p, value in zip(misses, values):
-                value = float(value)
-                seconds[p] = value
-                if memo is not None:
-                    case = cases[p]
-                    memo[(
-                        wkey,
-                        case.spec,
-                        case.sharing_fraction,
-                        case.sharing_fresh_fraction,
-                        case.remote_rate_adjustment,
-                    )] = value
-        return [seconds[p] for p in positions]
+            for p, value in zip(misses, values.tolist()):
+                seconds[candidates[p][0]] = value
+        return [seconds[candidates[p][0]] for p in positions]
 
-    def commit(positions: list[int], seconds: list[float]) -> None:
-        for p, value in zip(positions, seconds):
+    def commit(positions: list[int], values: list[float]) -> None:
+        for p, value in zip(positions, values):
             if math.isfinite(value):
                 index, _, price = candidates[p]
                 feasible.append((index, price, value))
@@ -334,25 +322,29 @@ def _search_core(
         commit(positions, eval_positions(positions))
         return feasible, evaluated, memo_hits
 
-    bounds = e_instr_lower_bounds(
-        cases, locality, gamma, hierarchy_memo=hierarchies,
-        **_bound_kwargs(options),
-    )
-    order = np.argsort(bounds, kind="stable")  # (bound, enumeration) asc
+    unbounded = [p for p, (index, _, _) in enumerate(candidates) if index not in bounds]
+    if unbounded:
+        values = e_instr_lower_bounds(
+            cases(unbounded), locality, gamma, hierarchy_memo=hierarchies,
+            **_bound_kwargs(options),
+        )
+        for p, value in zip(unbounded, values.tolist()):
+            bounds[candidates[p][0]] = value
+    bound = [bounds[index] for index, _, _ in candidates]
+    order = np.argsort(bound, kind="stable")  # (bound, enumeration) asc
     front = _ParetoFront()
     pending: list[int] = []
     step = _FIRST_CHUNK
 
     def flush() -> None:
-        seconds = eval_positions(pending)
-        commit(pending, seconds)
-        for p, value in zip(pending, seconds):
+        values = eval_positions(pending)
+        commit(pending, values)
+        for p, value in zip(pending, values):
             front.add(candidates[p][2], value)
         pending.clear()
 
-    for p in order:
-        p = int(p)
-        if front.min_seconds_at(candidates[p][2]) < bounds[p]:
+    for p in order.tolist():
+        if front.min_seconds_at(candidates[p][2]) < bound[p]:
             continue  # strictly dominated even in the best case
         pending.append(p)
         if len(pending) >= step:
@@ -380,8 +372,8 @@ class DesignSearch:
 
     Construct once, then answer any number of single (:meth:`search`)
     or batched (:meth:`run`) queries; the candidate enumeration, the
-    evaluation memo, the worker pool and the disk cache persist across
-    queries.
+    per-workload evaluation and bound memos, the worker pool and the disk
+    cache persist across queries.
 
     Parameters mirror :func:`repro.cost.optimizer.optimize_cluster` plus:
 
@@ -460,12 +452,18 @@ class DesignSearch:
             "Design evaluation waves executed, by chosen lane",
             labelnames=("lane",),
         )
-        #: Every (spec, price) of the space in enumeration order, built on
-        #: first use so that constructing an engine stays cheap.
-        self._enumeration: list[tuple[PlatformSpec, float]] | None = None
-        self._memo: dict = {}
+        #: Every ``(enumeration_index, spec, price)`` of the space in
+        #: enumeration order, built on first use so that constructing an
+        #: engine stays cheap.
+        self._enumeration: list[tuple[int, PlatformSpec, float]] | None = None
+        #: Per workload, E(Instr) and the lower bound by enumeration
+        #: index.  The catalog, space and options are fixed, so an index
+        #: names one model input; keying on the workload object keeps
+        #: every entry inside its own workload.
+        self._seconds: dict[WorkloadParams, dict[int, float]] = {}
+        self._bounds: dict[WorkloadParams, dict[int, float]] = {}
         #: Folded hierarchies by (spec, cache capacity factor): bounded,
-        #: like ``_memo``, by the candidate space.
+        #: like the model memos, by the candidate space.
         self._hierarchies: dict = {}
 
     # ------------------------------------------------------------------
@@ -512,14 +510,14 @@ class DesignSearch:
         """Answer a batch of queries, in-process or on the pool.
 
         At ``jobs <= 1`` every uncached query is solved in-process,
-        sharing the evaluation memo across queries (same-workload queries
-        at different budgets overlap almost completely), so a wave costs
-        roughly one query's evaluations instead of Q.  Otherwise the
-        pool fans one query, with its candidates, per worker -- workers
-        solve serially and cannot share the memo across processes.
-        Answers are identical either way (the memo only replays exact
-        floats); cached answers never reach either path.  Results align
-        with ``queries`` by position.
+        sharing the engine's evaluation and bound memos across queries
+        (same-workload queries at different budgets overlap almost
+        completely), so a wave costs roughly one query's evaluations and
+        bounds instead of Q.  Otherwise the pool fans one query, with its
+        candidates, per worker -- workers solve serially and cannot share
+        the memos across processes.  Answers are identical either way
+        (the memos only replay exact floats); cached answers never reach
+        either path.  Results align with ``queries`` by position.
         """
         results: dict[int, SearchOutcome] = {}
         pending: list[tuple[int, DesignQuery, str, list, tuple]] = []
@@ -564,14 +562,13 @@ class DesignSearch:
         """``(enumeration_index, spec, price)`` of every candidate priced
         within ``budget``, in enumeration order."""
         if self._enumeration is None:
-            self._enumeration = list(
-                enumerate_configurations(math.inf, self.catalog, self.space)
-            )
-        return [
-            (i, spec, price)
-            for i, (spec, price) in enumerate(self._enumeration)
-            if price <= budget
-        ]
+            self._enumeration = [
+                (i, spec, price)
+                for i, (spec, price) in enumerate(
+                    enumerate_configurations(math.inf, self.catalog, self.space)
+                )
+            ]
+        return [c for c in self._enumeration if c[2] <= budget]
 
     def _solve(
         self,
@@ -583,7 +580,9 @@ class DesignSearch:
         """Search ``candidates`` in-process, sharing the engine's memos."""
         feasible, evaluated, memo_hits = _search_core(
             workload, candidates, self.options, method,
-            memo=self._memo, hierarchies=self._hierarchies,
+            seconds=self._seconds.setdefault(workload, {}),
+            bounds=self._bounds.setdefault(workload, {}),
+            hierarchies=self._hierarchies,
         )
         return self._finish(
             workload, budget, candidates, feasible, evaluated, memo_hits

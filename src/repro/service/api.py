@@ -51,6 +51,8 @@ __all__ = [
     "WORKLOAD_KEYS",
     "PLATFORM_KEYS",
     "MAX_PROCESSORS",
+    "MAX_SIMULATED_CACHE_KB",
+    "MAX_SIMULATED_MEMORY_MB",
     "REQUEST_KEYS",
     "request_body",
     "registered_workloads",
@@ -173,6 +175,17 @@ class SimulateAnswer:
 #: at a time, so an unbounded shape would stall every predict queued
 #: behind it; the candidate space's largest platform has 64.
 MAX_PROCESSORS = 1024
+
+#: The largest cache (``cache_kb``, ``l2_kb``) and memory (``memory_mb``)
+#: a simulate request may describe.  The simulator allocates tag, stamp
+#: and dirty arrays for every line of every cache, about 17 bytes per
+#: 64-byte line (1.1 MB for a 4 MB cache, per processor), so an
+#: unbounded size would exhaust a worker's memory before the first
+#: reference.  Memory is a page table that grows with the pages an
+#: application touches, so its limit only keeps sizes plausible.  Predict
+#: folds sizes into floats and takes any size within float range.
+MAX_SIMULATED_CACHE_KB = 4 * 1024
+MAX_SIMULATED_MEMORY_MB = 64 * 1024
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -298,16 +311,22 @@ def design_query(workload: WorkloadParams, budget, method=None) -> DesignQuery:
         raise QueryError(str(exc)) from None
 
 
-def deadline_from_obj(obj, default: float) -> float:
-    """The relative deadline in seconds, ``deadline_s`` or ``default``:
-    positive and finite, so every request is answered or shed."""
+def deadline_from_obj(obj, policy_deadline: float) -> float:
+    """The relative deadline in seconds, ``deadline_s`` or the endpoint
+    policy's deadline: positive, finite and at most the policy's, so
+    every request is answered or shed within that time."""
     if not isinstance(obj, dict):
         raise QueryError("request body must be a JSON object")
-    rel = obj.get("deadline_s", default)
+    rel = obj.get("deadline_s", policy_deadline)
     if isinstance(rel, bool) or not (
         isinstance(rel, (int, float)) and 0 < rel <= _FLOAT_MAX
     ):
         raise QueryError(f"'deadline_s' must be a positive finite number, got {rel!r}")
+    if rel > policy_deadline:
+        raise QueryError(
+            f"'deadline_s' must be at most the endpoint's deadline of "
+            f"{policy_deadline:g} s, got {rel!r}"
+        )
     return float(rel)
 
 
@@ -464,11 +483,16 @@ class QueryAPI:
 
         The server ships this tuple to its worker pool; in-process
         callers use :meth:`simulate_submit` instead.  Raises
-        :class:`QueryError` for an unknown application, a non-integer
-        seed or non-object ``app_args`` so the 400 fires before any
-        worker is touched.
+        :class:`QueryError` for an unknown application, a seed that is
+        not a non-negative integer, non-object ``app_args``, a cache or
+        memory beyond :data:`MAX_SIMULATED_CACHE_KB` /
+        :data:`MAX_SIMULATED_MEMORY_MB`, or ``app_args`` the application
+        rejects for ``spec.total_processors`` processes, so the 400
+        fires before any worker is touched or any array allocated.  The
+        application is constructed, not run: constructors only check
+        their arguments, and the trace is generated in ``run()``.
         """
-        from repro.apps.registry import APPLICATIONS
+        from repro.apps.registry import APPLICATIONS, make_application
 
         if not isinstance(app, str):
             raise QueryError("'app' must be an application name string")
@@ -476,11 +500,26 @@ class QueryAPI:
             raise QueryError(
                 f"unknown application {app!r}; known: {', '.join(sorted(APPLICATIONS))}"
             )
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise QueryError(f"'seed' must be an integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise QueryError(f"'seed' must be a non-negative integer, got {seed!r}")
         kwargs = app_args or {}
         if not isinstance(kwargs, dict):
             raise QueryError("'app_args' must be an object")
+        for key, size, limit in (
+            ("cache_kb", spec.cache_bytes // KB, MAX_SIMULATED_CACHE_KB),
+            ("l2_kb", (spec.l2_bytes or 0) // KB, MAX_SIMULATED_CACHE_KB),
+            ("memory_mb", spec.memory_bytes // MB, MAX_SIMULATED_MEMORY_MB),
+        ):
+            if size > limit:
+                raise QueryError(
+                    f"{key!r} must be at most {limit} to simulate, got {size}"
+                )
+        try:
+            make_application(app, spec.total_processors, seed, **kwargs)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise QueryError(
+                f"bad app_args for {app} on {spec.total_processors} processes: {exc}"
+            ) from None
         return (app, seed, dict(kwargs), spec, self.horizon, None, None, False)
 
     def simulate_submit(

@@ -397,6 +397,72 @@ class TestCachesAndMetrics:
         assert 0.0 <= stats.pruning_ratio <= 1.0
 
 
+class TestWorkloadMemos:
+    """The engine memoises E(Instr) and the lower bound per workload, by
+    enumeration index: entries never cross workloads, and a budget sweep
+    computes each candidate's bound once."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_near_twin_workloads_answer_like_fresh_engines(self, method) -> None:
+        from dataclasses import replace
+
+        twins = [
+            PAPER_LU,
+            replace(PAPER_LU, sharing_fraction=0.2),
+            replace(PAPER_LU, sharing_procs=8),
+            replace(PAPER_LU, sharing_fresh_fraction=0.5),
+            replace(PAPER_LU, max_distance=4 * PAPER_LU.max_distance),
+        ]
+        shared = DesignSearch(space=SMALL_SPACE, method=method, metrics=MetricsRegistry())
+        for budget in (12_000.0, 6_000.0, 9_000.0):
+            for workload in twins:
+                warm = shared.search(workload, budget)
+                fresh = DesignSearch(
+                    space=SMALL_SPACE, method=method, metrics=MetricsRegistry()
+                ).search(workload, budget)
+                assert _rows(warm.result.ranking) == _rows(fresh.result.ranking)
+                assert warm.frontier == fresh.frontier
+                assert warm.stats.pruned == fresh.stats.pruned
+
+    def test_pareto_sweep_bounds_each_candidate_once(self, monkeypatch) -> None:
+        import repro.cost.search as search
+
+        lanes = []
+        real = search.e_instr_lower_bounds
+
+        def counting(cases, *args, **kwargs):
+            lanes.extend(case.spec for case in cases)
+            return real(cases, *args, **kwargs)
+
+        monkeypatch.setattr(search, "e_instr_lower_bounds", counting)
+        budgets = (9_000.0, 6_000.0, 20_000.0, 12_000.0)
+        engine = DesignSearch(space=SMALL_SPACE, method="pareto", metrics=MetricsRegistry())
+        got = engine.run([DesignQuery(PAPER_LU, b) for b in budgets])
+        distinct = [
+            spec for spec, _ in enumerate_configurations(max(budgets), engine.catalog, SMALL_SPACE)
+        ]
+        assert sorted(lanes, key=repr) == sorted(distinct, key=repr)
+        for outcome, budget in zip(got, budgets):
+            fresh = DesignSearch(
+                space=SMALL_SPACE, method="pareto", metrics=MetricsRegistry()
+            ).search(PAPER_LU, budget)
+            assert _rows(outcome.result.ranking) == _rows(fresh.result.ranking)
+            assert outcome.frontier == fresh.frontier
+
+    def test_mixed_workload_on_a_warm_engine_matches_optimize_cluster(self) -> None:
+        from repro.workloads.mix import mix_workloads
+
+        mixed = mix_workloads([PAPER_FFT, PAPER_LU], [0.6, 0.4], name="FFT+LU")
+        engine = DesignSearch(space=SMALL_SPACE, metrics=MetricsRegistry())
+        for workload in (PAPER_FFT, PAPER_LU, mixed):
+            engine.search(workload, 9_000.0)
+        reference = optimize_cluster(mixed, 12_000.0, space=SMALL_SPACE)
+        outcome = engine.search(mixed, 12_000.0)
+        assert outcome.stats.memo_hits > 0
+        assert _rows(outcome.result.ranking) == _rows(reference.ranking)
+        assert outcome.frontier == pareto_frontier(reference.ranking)
+
+
 class TestValidation:
     def test_bad_method_rejected(self) -> None:
         engine = DesignSearch(metrics=MetricsRegistry())

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from repro.obs.metrics import MetricsRegistry
 from repro.service.api import (
     MAX_PROCESSORS,
+    MAX_SIMULATED_CACHE_KB,
+    MAX_SIMULATED_MEMORY_MB,
     REQUEST_KEYS,
     PredictRequest,
     QueryAPI,
@@ -76,6 +78,54 @@ class TestBoundaryCases:
             10.0 + core.config.policy("design").deadline
         )
         assert core.deadline_for("design", {"deadline_s": 2}, 10.0) == 12.0
+
+    def test_deadline_is_at_most_the_policy_deadline(self, core):
+        for endpoint in ENDPOINTS:
+            limit = core.config.policy(endpoint).deadline
+            assert core.deadline_for(endpoint, {"deadline_s": limit}, 1.0) == 1.0 + limit
+            for deadline in (1e300, limit * 1.5):
+                with pytest.raises(QueryError, match=(
+                    f"'deadline_s' must be at most the endpoint's deadline of {limit:g} s"
+                )):
+                    core.deadline_for(endpoint, {"deadline_s": deadline}, 0.0)
+
+    def test_simulated_sizes_are_bounded_before_any_allocation(self, core, monkeypatch):
+        from repro.sim.cache import SetAssociativeCache
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("the parser built a simulated cache")
+
+        monkeypatch.setattr(SetAssociativeCache, "__init__", allocate)
+        sim = {"app": "FFT", "app_args": {"points": 256}, "machines": 1,
+               "procs_per_machine": 2, "memory_mb": 16_384}
+        for key, limit in (("cache_kb", MAX_SIMULATED_CACHE_KB),
+                           ("l2_kb", MAX_SIMULATED_CACHE_KB),
+                           ("memory_mb", MAX_SIMULATED_MEMORY_MB)):
+            assert core.parse("simulate", {**sim, key: limit})[3] is not None
+            with pytest.raises(QueryError, match=f"'{key}' must be at most {limit} "):
+                core.parse("simulate", {**sim, key: limit + 1})
+        with pytest.raises(QueryError, match="'cache_kb' must be at most"):
+            core.parse("simulate", {**sim, "cache_kb": 10_000_000})
+        # Predict folds sizes into floats: any size within float range.
+        request = core.parse("predict", {"workload": "FFT", "cache_kb": 10_000_000,
+                                         "memory_mb": 10**9, "l2_kb": 10**8})
+        assert request.spec.cache_bytes == 10_000_000 * 1024
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"app_args": {"bogus": 1}}, "unexpected keyword argument 'bogus'"),
+            ({"app_args": {"points": 256}, "procs_per_machine": 32},
+             "row count 16 must be divisible by num_procs 32"),
+            ({"app_args": {"num_procs": 2}}, "multiple values for argument .num_procs."),
+            ({"seed": -1}, "'seed' must be a non-negative integer"),
+        ],
+        ids=["unknown-arg", "too-many-processes", "reserved-arg", "negative-seed"],
+    )
+    def test_simulate_args_are_checked_against_the_application(self, core, extra, message):
+        body = {"app": "FFT", "machines": 1, "procs_per_machine": 2, **extra}
+        with pytest.raises(QueryError, match=message):
+            core.parse("simulate", body)
 
     def test_budget_and_method_reach_the_design_query(self, core):
         query = core.parse("design", {"workload": "LU", "budget": 9000,

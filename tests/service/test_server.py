@@ -312,6 +312,27 @@ class TestSimulatePath:
         assert p_obj["degraded"] is True
         assert "amat_cycles" in p_obj
 
+    def test_bad_app_args_are_a_400_and_leave_the_breaker_closed(self):
+        # A constructor error used to reach the pool, retry to the
+        # breaker threshold and open the breaker for every client.
+        body = {"app": "FFT", "app_args": {"bogus": 1}, "machines": 1,
+                "procs_per_machine": 2}
+
+        def client(request, service):
+            bad = request("POST", "/v1/simulate", body)
+            health = request("GET", "/healthz")
+            predict = request("POST", "/v1/predict", {"workload": "FFT", **PLATFORM})
+            return bad, health, predict, service.core.simulate_dispatches
+
+        (status, obj), (_, health), (p_status, p_obj), dispatches = drive(
+            client, config=ServiceConfig(jobs=1)
+        )
+        assert status == 400
+        assert "'bogus'" in obj["error"]
+        assert dispatches == 0
+        assert health["breaker"] == "closed"
+        assert p_status == 200 and p_obj["degraded"] is False
+
     def test_client_deadline_is_enforced_with_a_504(self):
         def client(request, service):
             body = dict(SIM_BODY, deadline_s=0.001)
