@@ -2,12 +2,12 @@
 
 The exact cycle-attribution profiler (``repro.obs.profile``) promises
 to be cheap enough to leave on: per simulated reference it adds a few
-float accumulations into a plain dict, and the vectorized fast path
-folds whole access batches into one accumulation.  This benchmark
+float accumulations into a plain dict, and the batched fast path
+folds each run of hits into one accumulation.  This benchmark
 holds that promise to a number.  For the FFT workload on the paper's
 three platform families it measures references simulated per second
 with ``profile=False`` and ``profile=True``, in both the scalar lane
-and the vectorized fast path, and gates the worst-cell overhead at
+and the batched fast path, and gates the worst-cell overhead at
 ``--max-overhead-pct`` (default imported from
 :data:`repro.obs.ledger.BENCH_FLOORS`, the same ceiling the ledger
 stamps into every run record).

@@ -16,8 +16,9 @@ questions cheap, none of it changing an answer:
    maps a candidate's enumeration index to its E(Instr): the catalog,
    space and options are fixed per engine, so an index names one model
    input, and no entry can cross workloads.  Evaluations are reused
-   across queries by an int lookup, and a second memo folds each
-   platform's hierarchy once.
+   across queries by an int lookup, the memos of only the
+   ``MEMO_WORKLOADS`` most recently searched workloads are kept, and a
+   second memo folds each platform's hierarchy once.
 3. **Pareto pruning** — ``method="pareto"`` visits candidates in
    ascending order of the admissible zero-contention lower bound
    (:func:`repro.core.batch.e_instr_lower_bounds`) and skips one only
@@ -86,6 +87,13 @@ _FIRST_CHUNK = 8
 
 #: The design methods; the CLI and the service accept exactly these.
 METHODS = ("exhaustive", "pareto")
+
+#: Workloads whose E(Instr) and bound memos one engine keeps, the most
+#: recently searched ones.  A long-lived engine (the service's) sees a
+#: new workload with every custom ``alpha``/``beta``/``gamma``, and each
+#: keeps up to two floats per candidate in its budgets; the paper's
+#: four workloads, and a sweep over them, stay memoised.
+MEMO_WORKLOADS = 8
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +467,9 @@ class DesignSearch:
         #: Per workload, E(Instr) and the lower bound by enumeration
         #: index.  The catalog, space and options are fixed, so an index
         #: names one model input; keying on the workload object keeps
-        #: every entry inside its own workload.
+        #: every entry inside its own workload.  Both hold the same
+        #: workloads, least recently searched first, at most
+        #: ``MEMO_WORKLOADS`` of them.
         self._seconds: dict[WorkloadParams, dict[int, float]] = {}
         self._bounds: dict[WorkloadParams, dict[int, float]] = {}
         #: Folded hierarchies by (spec, cache capacity factor): bounded,
@@ -578,10 +588,19 @@ class DesignSearch:
         method: str,
     ) -> SearchOutcome:
         """Search ``candidates`` in-process, sharing the engine's memos."""
+        # Re-insert the workload's memos last, then evict the least
+        # recently searched workload beyond MEMO_WORKLOADS.
+        seconds = self._seconds.pop(workload, {})
+        bounds = self._bounds.pop(workload, {})
+        self._seconds[workload] = seconds
+        self._bounds[workload] = bounds
+        if len(self._seconds) > MEMO_WORKLOADS:
+            oldest = next(iter(self._seconds))
+            del self._seconds[oldest], self._bounds[oldest]
         feasible, evaluated, memo_hits = _search_core(
             workload, candidates, self.options, method,
-            seconds=self._seconds.setdefault(workload, {}),
-            bounds=self._bounds.setdefault(workload, {}),
+            seconds=seconds,
+            bounds=bounds,
             hierarchies=self._hierarchies,
         )
         return self._finish(

@@ -26,7 +26,7 @@ class SpeedResult:
     configuration: str
     model_seconds: float
     simulation_seconds: float
-    #: Same simulation with the engine's vectorized fast path disabled
+    #: Same simulation with the engine's batched fast path disabled
     #: (0.0 when the scalar lane was not timed).
     scalar_simulation_seconds: float = 0.0
 

@@ -6,7 +6,7 @@ Two halves, one theme -- what happens when nodes misbehave:
   :class:`~repro.faults.plan.FaultPlan` objects (one-off delays,
   stalls, degraded nodes, network-latency spikes) that
   :class:`~repro.sim.engine.SimulationEngine` and every back-end
-  consume with bit-identical results across the scalar and vectorized
+  consume with bit-identical results across the scalar and batched
   lanes;
 * :mod:`repro.faults.inject` -- the engine-facing compilation of a
   plan into per-process trigger schedules.

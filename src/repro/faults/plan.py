@@ -26,7 +26,7 @@ Determinism is the design constraint throughout: events trigger on the
 *simulated* clock at reference boundaries, never on wall time, so a
 plan replayed on the same trace yields bit-identical results -- across
 runs, across process-pool workers, and across the engine's scalar and
-vectorized lanes (see ``docs/RESILIENCE.md`` for the proof obligations
+batched lanes (see ``docs/RESILIENCE.md`` for the proof obligations
 and ``tests/faults/`` for the property suite).  :meth:`FaultPlan.generate`
 derives a randomized plan from a seed through ``numpy``'s PRNG with all
 magnitudes quantized to quarter-cycle multiples, keeping every clock

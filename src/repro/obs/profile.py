@@ -9,7 +9,7 @@ end-of-run finish skew.
 
 The hard invariant (property-tested in ``tests/obs/test_profile.py``):
 the buckets sum **bit-exactly** to ``processors x total_cycles``, in
-both engine lanes (scalar == vectorized), and lane choice never
+both engine lanes (scalar == batched), and lane choice never
 changes any individual bucket.  This works because every
 quantity the engine adds to a clock is a multiple of 2^-6 cycles
 (quarter-cycle latencies, the 0.25 control fraction, halved barrier

@@ -11,10 +11,10 @@ attributes every counter increment to the window containing the
 
 * scalar-lane accesses are attributed individually by diffing the
   back-end's counters around each ``access`` call;
-* fastpath batches are attributed per reference from the engine's
-  precomputed prefix-sum schedule -- the j-th consumed hit of a batch
-  started at clock ``t`` completes at ``t + (sched[i+j] - sched[i-1])``,
-  so a single ``searchsorted``-free floor-divide buckets the whole run;
+* batched runs are attributed per reference from the completion times
+  the back-end's ``access_batch`` reports when the engine samples --
+  the clock after each consumed hit, the very value the scalar lane
+  reaches there -- bucketed by the same floor-divide;
 * barrier releases attribute the wait they resolved to the release
   window.
 
@@ -32,8 +32,6 @@ lane realizes, the two lanes produce bit-identical timelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["STAT_FIELDS", "Timeline", "TimelineRecorder", "TimelineWindow"]
 
@@ -217,7 +215,7 @@ class TimelineRecorder:
     """Accumulates per-window counter deltas during one ``execute``.
 
     The engine calls :meth:`record_access` after every scalar-lane
-    reference, :meth:`record_batch` after every fastpath batch with the
+    reference, :meth:`record_batch` after every batched run with the
     consumed hits' completion times, and :meth:`record_barrier` at each
     barrier release; :meth:`finish` freezes the result.  The recorder
     never touches simulation state, so enabling it cannot change
@@ -276,17 +274,20 @@ class TimelineRecorder:
                     win[key] = win.get(key, 0) + delta
             self._last_reqs = reqs
 
-    def record_batch(self, completions: np.ndarray) -> None:
-        """Attribute one batch of pure-local hits.
+    def record_batch(self, completions) -> None:
+        """Attribute one batched run of pure-local hits.
 
-        ``completions`` holds each consumed reference's completion time
-        (from the engine's prefix-sum schedule).  A batch only ever
-        advances ``references`` and ``cache_hits``; the baseline
-        snapshot is refreshed so the next scalar diff starts clean.
+        ``completions`` holds each consumed reference's completion time,
+        as ``access_batch`` reported it.  A run only ever advances
+        ``references`` and ``cache_hits``; the baseline snapshot is
+        refreshed so the next scalar diff starts clean.
         """
-        indices = (completions // self.sample_every).astype(np.int64)
-        uniq, counts = np.unique(indices, return_counts=True)
-        for index, c in zip(uniq.tolist(), counts.tolist()):
+        W = self.sample_every
+        counts: dict[int, int] = {}
+        for t in completions:
+            index = int(t // W)
+            counts[index] = counts.get(index, 0) + 1
+        for index, c in counts.items():
             win = self._win(index)
             win["references"] = win.get("references", 0) + c
             win["cache_hits"] = win.get("cache_hits", 0) + c

@@ -26,6 +26,7 @@ contracts the server then inherits:
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ __all__ = [
     "MAX_PROCESSORS",
     "MAX_SIMULATED_CACHE_KB",
     "MAX_SIMULATED_MEMORY_MB",
+    "MAX_SIMULATED_APP_ARGS",
     "REQUEST_KEYS",
     "request_body",
     "registered_workloads",
@@ -187,6 +189,34 @@ MAX_PROCESSORS = 1024
 MAX_SIMULATED_CACHE_KB = 4 * 1024
 MAX_SIMULATED_MEMORY_MB = 64 * 1024
 
+#: The largest value of each integer constructor argument a simulate
+#: request may pass in ``app_args``.  Constructors only check that sizes
+#: divide among the processes, and ``run()`` allocates the application's
+#: arrays and its trace from them, so an unbounded size (FFT ``points``
+#: of 2**40) would exhaust a worker's memory after the request was
+#: admitted.  The paper's four programs stop at its Table 2 sizes (FFT
+#: 64K points, LU 512x512, Radix 1M keys, EDGE 128x128), an LU block at
+#: the largest order, Radix keys at 64 bits and digits at 16 (a
+#: 64K-bucket histogram per pass), iteration counts at 64, and the CG
+#: grid and the TPC-C sizes at 16 times their defaults.  An integer
+#: argument with no ceiling here is refused.
+MAX_SIMULATED_APP_ARGS = {
+    "points": 65_536,
+    "order": 512,
+    "block": 512,
+    "num_keys": 1 << 20,
+    "digit_bits": 16,
+    "key_bits": 64,
+    "height": 128,
+    "width": 128,
+    "iterations": 64,
+    "grid": 768,
+    "warehouses": 64,
+    "transactions": 320_000,
+    "items": 131_072,
+    "customers_per_warehouse": 48_000,
+}
+
 _FLOAT_MAX = sys.float_info.max
 
 WORKLOAD_KEYS = ("workload", "alpha", "beta", "gamma")
@@ -301,6 +331,28 @@ def platform_from_obj(obj: Mapping, name: str = "query") -> PlatformSpec:
         )
     except ValueError as exc:
         raise QueryError(f"bad platform: {exc}") from exc
+
+
+def _check_app_arg(app: str, key: str, value, annotation) -> None:
+    """One ``app_args`` value against its constructor annotation: an
+    ``int`` is an integer (not a bool) from 1 to its
+    :data:`MAX_SIMULATED_APP_ARGS` ceiling, a ``float`` a finite number."""
+    if annotation in (int, "int"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise QueryError(f"app_args {key!r} of {app} must be an integer, got {value!r}")
+        limit = MAX_SIMULATED_APP_ARGS.get(key)
+        if limit is None:
+            raise QueryError(f"app_args {key!r} of {app} has no simulate ceiling")
+        if not 1 <= value <= limit:
+            raise QueryError(
+                f"app_args {key!r} of {app} must be from 1 to {limit} to simulate, "
+                f"got {value}"
+            )
+    elif annotation in (float, "float"):
+        if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) and math.isfinite(value)
+        ):
+            raise QueryError(f"app_args {key!r} of {app} must be a finite number, got {value!r}")
 
 
 def design_query(workload: WorkloadParams, budget, method=None) -> DesignQuery:
@@ -486,11 +538,14 @@ class QueryAPI:
         :class:`QueryError` for an unknown application, a seed that is
         not a non-negative integer, non-object ``app_args``, a cache or
         memory beyond :data:`MAX_SIMULATED_CACHE_KB` /
-        :data:`MAX_SIMULATED_MEMORY_MB`, or ``app_args`` the application
-        rejects for ``spec.total_processors`` processes, so the 400
-        fires before any worker is touched or any array allocated.  The
-        application is constructed, not run: constructors only check
-        their arguments, and the trace is generated in ``run()``.
+        :data:`MAX_SIMULATED_MEMORY_MB`, ``app_args`` the application
+        rejects for ``spec.total_processors`` processes, or an
+        ``app_args`` value that does not match its constructor
+        annotation or exceeds its :data:`MAX_SIMULATED_APP_ARGS`
+        ceiling, so the 400 fires before any worker is touched or any
+        array allocated.  The application is constructed, not run:
+        constructors only check their arguments, and the trace is
+        generated in ``run()``.
         """
         from repro.apps.registry import APPLICATIONS, make_application
 
@@ -515,11 +570,14 @@ class QueryAPI:
                     f"{key!r} must be at most {limit} to simulate, got {size}"
                 )
         try:
-            make_application(app, spec.total_processors, seed, **kwargs)
+            application = make_application(app, spec.total_processors, seed, **kwargs)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise QueryError(
                 f"bad app_args for {app} on {spec.total_processors} processes: {exc}"
             ) from None
+        params = inspect.signature(type(application)).parameters
+        for key, value in kwargs.items():
+            _check_app_arg(app, key, value, params[key].annotation)
         return (app, seed, dict(kwargs), spec, self.horizon, None, None, False)
 
     def simulate_submit(

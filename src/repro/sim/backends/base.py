@@ -9,13 +9,14 @@ through the FCFS :class:`~repro.sim.memory.Server` objects the back-end
 routes the request through.
 
 Back-ends also implement :meth:`MemoryBackend.access_batch`, the
-engine's vectorized fast lane: a run of consecutive references that
+engine's fast lane: it walks a run of consecutive references that
 provably cannot interact with any other process (own-cache hits that
-touch no shared server and mutate no coherence state) is consumed as one
-array operation instead of N ``access`` calls.  The contract is strict:
-the cache state, statistics and completion times after a batched run
-must be bit-identical to the scalar path, so a back-end only consumes a
-prefix it can prove is pure-local and leaves everything else to
+touch no shared server and mutate no coherence state), one slot-index
+lookup per reference, and advances the clock by the same two additions
+per reference as the scalar loop.  The contract is strict: the cache
+state, statistics and completion times after a batched run must be
+bit-identical to the scalar path, so a back-end consumes only the
+references it can prove are pure-local and leaves everything else to
 ``access``.
 """
 
@@ -33,14 +34,9 @@ __all__ = [
     "BackendStats",
     "MemoryBackend",
     "make_backend",
-    "eligible_prefix",
-    "BATCH_CHUNK",
     "_acc",
     "timed_request",
 ]
-
-#: One ``access_batch`` call evaluates at most this many references.
-BATCH_CHUNK = 4096
 
 
 def _acc(prof: dict, node: str, cause: str, cycles: float) -> None:
@@ -70,25 +66,6 @@ def timed_request(prof, server, t: float, service: float, node: str, cause: str,
         _acc(prof, node, cause, service)
         _acc(prof, wait_node or node, "contention", finish - t - service)
     return finish
-
-
-def eligible_prefix(ok: np.ndarray) -> tuple[int, int]:
-    """``(consumed, skip)`` for an eligibility mask.
-
-    ``consumed`` is the length of the leading all-True run; when it is
-    zero, ``skip`` counts the leading ineligible references (at least 1)
-    so the engine knows how far to carry on scalar before retrying.
-    Allocation-free: two argmin/argmax scans instead of index vectors.
-    """
-    k = int(ok.argmin())  # first False, or 0 when there is none
-    if k > 0:
-        return k, k
-    if ok.size and ok[0]:
-        return ok.size, ok.size  # no False at all
-    skip = int(ok.argmax())  # first True, or 0 when all False
-    if skip == 0:
-        skip = ok.size
-    return 0, max(skip, 1)
 
 
 @dataclass
@@ -147,8 +124,8 @@ class MemoryBackend(ABC):
     #: every timed path feeds via :func:`_acc`.  Class attribute so
     #: unprofiled back-ends pay only an attribute read per miss.
     profiler: dict | None = None
-    #: Cycles of an own-cache hit; the engine folds it into the issue
-    #: schedule of its vectorized lane.
+    #: Cycles of an own-cache hit; ``access_batch`` adds it once per
+    #: consumed reference, as ``access`` does.
     t_hit: float
 
     def __init__(self, spec: PlatformSpec, home_machine_of_line: np.ndarray) -> None:
@@ -170,28 +147,37 @@ class MemoryBackend(ABC):
 
     @abstractmethod
     def access_batch(
-        self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
-    ) -> tuple[int, int]:
-        """Consume a prefix of pure-local references in one vectorized step.
+        self,
+        proc: int,
+        lines,
+        writes,
+        works,
+        start: int,
+        stop: int,
+        now: float,
+        limit: float,
+        until: float,
+        times: list | None = None,
+    ) -> tuple[int, float]:
+        """Consume a run of pure-local hits from ``start``; ``(consumed, t)``.
 
-        Every consumed reference must be a pure-local cache hit -- one
-        that touches no shared server and mutates no state outside
-        ``proc``'s own cache -- applied exactly as the scalar path
-        would have (statistics, LRU stamps, dirty marks).  Timing stays
-        with the engine: each consumed hit costs the back-end's
-        ``t_hit``, which the engine folds into its precomputed issue
-        schedule, so the back-end neither reads nor returns clocks
-        (``now`` is informational).
+        ``lines``, ``writes`` and ``works`` are one process's whole
+        trace (indexable sequences of ints, bools and ints).  Every
+        consumed reference must be a pure-local cache hit -- one that
+        touches no shared server and mutates no state outside
+        ``proc``'s own cache -- applied exactly as the scalar path would
+        have (statistics, LRU stamps, dirty marks), and it advances the
+        clock exactly as the engine's scalar step does: ``t +=
+        works[j] + 1.0``, then ``t += t_hit``.  ``t`` starts at
+        ``now``.
 
-        Returns ``(consumed, skip)`` with ``skip >= max(consumed, 1)``:
-        the length of the leading pure-local run, and how far from the
-        window start the engine should advance (scalar-stepping past
-        ``consumed``) before re-attempting a batch.  A run cut short at
-        ``consumed < lines.size`` reports ``skip = consumed + 1`` --
-        the cutting reference is known-ineligible right now, so the
-        engine takes it scalar instead of burning a guaranteed-empty
-        batch call on it; a fully consumed window reports
-        ``skip = consumed``.
+        The run stops before the first reference that is not a pure
+        hit, at index ``stop`` (the next barrier or the end of the
+        trace), after the first reference that completes past
+        ``limit`` (the causality horizon; the crossing reference is
+        included, as in the scalar loop), or once ``t`` reaches
+        ``until`` (the next fault trigger).  When ``times`` is a list,
+        each consumed reference's completion time is appended to it.
         """
 
     @abstractmethod
@@ -208,7 +194,7 @@ class MemoryBackend(ABC):
         cluster network forward the hook to it; on an SMP, which has no
         inter-node network to perturb, it is a no-op.  Batched
         references are always pure-local cache hits, so the hook can
-        never affect the vectorized lane -- both lanes stay
+        never affect the batched lane -- both lanes stay
         bit-identical under any spike schedule.
         """
 

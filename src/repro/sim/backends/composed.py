@@ -24,14 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.platform import PlatformSpec
-from repro.sim.backends.base import (
-    MemoryBackend,
-    _acc,
-    eligible_prefix,
-    timed_request,
-)
+from repro.sim.backends.base import MemoryBackend, _acc, timed_request
 from repro.sim.cache import SetAssociativeCache
-from repro.sim.directory import LINES_PER_BLOCK, block_of, first_unowned_write
+from repro.sim.directory import LINES_PER_BLOCK, block_of
 from repro.sim.hybrid import HybridProtocol, HybridServe
 from repro.sim.memory import PagedMemory, Server, page_of
 from repro.sim.network import BusNetwork, SwitchNetwork
@@ -226,7 +221,8 @@ class ComposedBackend(MemoryBackend):
             self.disk = Server()
             self.fabric = None
             self._access_impl = self._access_smp
-            self._batch_impl = self._batch_smp
+            self._pure_write = self._pure_write_smp
+            self._own = self.caches
             return
 
         # -- multi-machine: hybrid protocol over a routed fabric --------
@@ -246,7 +242,7 @@ class ComposedBackend(MemoryBackend):
             ]
             snoops = [SnoopingBus([c]) for c in self.caches]
             self._access_impl = self._access_cow
-            self._batch_impl = self._batch_cow
+            self._pure_write = self._pure_write_cow
         else:
             self.caches = [
                 [
@@ -258,8 +254,10 @@ class ComposedBackend(MemoryBackend):
             snoops = [SnoopingBus(self.caches[m]) for m in range(N)]
             self.buses = [Server() for _ in range(N)]  # per-SMP memory bus
             self._access_impl = self._access_clump
-            self._batch_impl = self._batch_clump
+            self._pure_write = self._pure_write_clump
         self.protocol = HybridProtocol(snoops, self.home_of_line_block, N)
+        #: Each process's own cache, by global process id.
+        self._own = self.caches if n == 1 else [c for m in self.caches for c in m]
 
     def home_of_line_block(self, block: int) -> int:
         return self.home_of_line(block * LINES_PER_BLOCK)
@@ -274,10 +272,52 @@ class ComposedBackend(MemoryBackend):
         return self._access_impl(proc, line, is_write, now)
 
     def access_batch(
-        self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
-    ) -> tuple[int, int]:
-        """Vectorized run of pure-local hits (see the base-class contract)."""
-        return self._batch_impl(proc, lines, writes, now)
+        self, proc, lines, writes, works, start, stop, now, limit, until, times=None
+    ) -> tuple[int, float]:
+        """Walk a run of pure-local hits (see the base-class contract).
+
+        A read hit in the own cache is pure in every shape; a write hit
+        is pure when the shape's ``_pure_write`` predicate says so, and
+        then takes the dirty mark the scalar path gives it.  Each hit is
+        one slot-index lookup and one LRU stamp, and costs the scalar
+        step's two additions; the run's ``references`` and
+        ``cache_hits`` are counted once at the end.  The first reference
+        that is no pure hit is left untouched for ``access``.
+        """
+        cache = self._own[proc]
+        slot = cache._slot_of.get
+        stamps = cache._flat_stamps
+        dirty = cache._flat_dirty
+        pure_write = self._pure_write
+        tick = cache._tick
+        t_hit = self.t_hit
+        t = now
+        j = start
+        while j < stop:
+            line = lines[j]
+            pos = slot(line)
+            if pos is None:
+                break
+            if writes[j]:
+                if not pure_write(proc, line, dirty[pos]):
+                    break
+                dirty[pos] = True
+            tick += 1
+            stamps[pos] = tick
+            t += works[j] + 1.0
+            t += t_hit
+            j += 1
+            if times is not None:
+                times.append(t)
+            if t > limit or t >= until:
+                break
+        cache._tick = tick
+        k = j - start
+        if k:
+            st = self.stats
+            st.references += k
+            st.cache_hits += k
+        return k, t
 
     # ------------------------------------------------------------------
     # one machine (the SMP shape)
@@ -331,55 +371,19 @@ class ComposedBackend(MemoryBackend):
         )
         return timed_request(prof, self.disk, t, self.t_disk, "disk", "disk")
 
-    def _batch_smp(
-        self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
-    ) -> tuple[int, int]:
-        # Eligible: own-cache read hits, plus -- when there is no
-        # shared L2 (a store must invalidate its L2 copy, which the
-        # scalar path handles) -- write hits to lines no peer holds.
-        # Lines already dirty in the issuing cache qualify wholesale:
-        # write-invalidate keeps dirty lines exclusive (a peer read
-        # downgrades M->S, a peer write invalidates).  The few write
-        # hits to clean lines per window (typically right after a fill)
-        # are checked against the peers individually; a peer-free one
-        # is a silent upgrade and marks the line dirty, exactly as the
-        # scalar path would.
-        cache = self.caches[proc]
-        ok, slots = cache.residency(lines)
-        k, skip = eligible_prefix(ok)
-        if k == 0:
-            return 0, skip
-        dirty_marks = None
+    def _pure_write_smp(self, proc: int, line: int, dirty: bool) -> bool:
+        # A write hit is pure with no shared L2 (a store must invalidate
+        # its L2 copy) and no peer copy to invalidate.  A line dirty in
+        # the issuing cache qualifies at once: write-invalidate keeps
+        # dirty lines exclusive (a peer read downgrades M->S, a peer
+        # write invalidates).  A clean line no peer holds is a silent
+        # upgrade.
         if self.l2 is not None:
-            bad = writes[:k]
-            if bad.any():
-                k = int(bad.argmax())
-                if k == 0:
-                    return 0, 1
-        else:
-            bad = writes[:k] & ~cache.dirty_at(slots[:k])
-            if bad.any():
-                first_bad = -1
-                caches = self.caches
-                for j in np.flatnonzero(bad).tolist():
-                    line = int(lines[j])
-                    if any(
-                        c.contains(line) for q, c in enumerate(caches) if q != proc
-                    ):
-                        k = j  # held elsewhere: invalidate needed, go scalar
-                        break
-                    if first_bad < 0:
-                        first_bad = j
-                if k == 0:
-                    return 0, 1
-                if 0 <= first_bad < k:
-                    # consumed clean-line upgrades: set their dirty bits
-                    dirty_marks = writes[:k]
-        cache.touch_positions(slots[:k], dirty=dirty_marks)
-        st = self.stats
-        st.references += k
-        st.cache_hits += k
-        return k, k + 1 if k < lines.size else k
+            return False
+        if dirty:
+            return True
+        own = self.caches[proc]
+        return not any(c.contains(line) for c in self.caches if c is not own)
 
     # ------------------------------------------------------------------
     # cluster of uniprocessor machines (the COW shape)
@@ -479,35 +483,15 @@ class ComposedBackend(MemoryBackend):
         t = self.fabric.transfer(t, machine, out.home, cause="remote_clean")
         return self._home_memory_time(t, out.home, line)
 
-    def _batch_cow(
-        self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
-    ) -> tuple[int, int]:
-        # Eligible: read hits, plus write hits to directory-exclusive
-        # blocks (silent upgrade) when there is no L2.  The L1 dirty bit
+    def _pure_write_cow(self, proc: int, line: int, dirty: bool) -> bool:
+        # A write hit is pure with no L2 to invalidate, to a block the
+        # machine owns exclusively (a silent upgrade).  The L1 dirty bit
         # is not a valid shortcut: a remote read drops exclusivity
         # without clearing the reader-side flag.
-        machine = proc  # one process per machine
-        cache = self.caches[machine]
-        ok, slots = cache.residency(lines)
-        k, skip = eligible_prefix(ok)
-        if k == 0:
-            return 0, skip
-        wr = writes[:k]
-        if wr.any():
-            if self.l2s is not None:
-                k = int(wr.argmax())  # first write cuts the run
-            else:
-                k = first_unowned_write(
-                    self.protocol.directory.exclusive_owner, machine, lines, wr, k
-                )
-            if k == 0:
-                return 0, 1
-            wr = writes[:k]
-        cache.touch_positions(slots[:k], dirty=wr if wr.any() else None)
-        st = self.stats
-        st.references += k
-        st.cache_hits += k
-        return k, k + 1 if k < lines.size else k
+        return (
+            self.l2s is None
+            and self.protocol.directory.exclusive_owner(block_of(line)) == proc
+        )
 
     # ------------------------------------------------------------------
     # cluster of SMP machines (the CLUMP shape, any depth)
@@ -579,43 +563,16 @@ class ComposedBackend(MemoryBackend):
         t = self.fabric.transfer(t, machine, out.home, cause="remote_clean")
         return self._home_memory_time(t, out.home, line)
 
-    def _batch_clump(
-        self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
-    ) -> tuple[int, int]:
-        # Both coherence layers must be quiet: read hits always are; a
-        # write hit needs the line dirty in the issuing cache (no snoop
-        # broadcast) AND the node directory-exclusive (silent upgrade),
-        # with no L2 to invalidate.
-        n = self.spec.n
-        machine = proc // n
-        cache = self.caches[machine][proc % n]
-        ok, slots = cache.residency(lines)
-        k, skip = eligible_prefix(ok)
-        if k == 0:
-            return 0, skip
-        w = writes[:k]
-        if w.any():
-            if self.l2s is not None:
-                k = int(w.argmax())  # first write cuts the run
-            else:
-                bad = w & ~cache.dirty_at(slots[:k])
-                if bad.any():
-                    k = int(bad.argmax())
-                if k:
-                    k = first_unowned_write(
-                        self.protocol.directory.exclusive_owner,
-                        machine,
-                        lines,
-                        writes,
-                        k,
-                    )
-            if k == 0:
-                return 0, 1
-        cache.touch_positions(slots[:k])
-        st = self.stats
-        st.references += k
-        st.cache_hits += k
-        return k, k + 1 if k < lines.size else k
+    def _pure_write_clump(self, proc: int, line: int, dirty: bool) -> bool:
+        # Both coherence layers must be quiet: the line dirty in the
+        # issuing cache (no snoop broadcast) AND the node
+        # directory-exclusive (silent upgrade), with no L2 to invalidate.
+        return (
+            self.l2s is None
+            and dirty
+            and self.protocol.directory.exclusive_owner(block_of(line))
+            == proc // self.spec.n
+        )
 
     # ------------------------------------------------------------------
     # shared machinery

@@ -4,22 +4,23 @@ The paper's simulated caches are two-way set-associative with 64-byte
 lines and LRU replacement.  Addresses arriving here are already
 line-granular (items), so the set index is simply ``line % num_sets``.
 
-State lives in three ``(num_sets, ways)`` arrays -- ``tags`` (the line
-held by each slot, -1 when empty), ``stamps`` (per-slot LRU ticks from
-one global counter) and ``dirty`` flags -- plus a ``line -> flat slot``
-dict, the slot index.  The index holds exactly the resident lines: line
-``l`` maps to slot ``s`` if and only if ``tags.flat[s] == l``.  Every
-method that changes a tag (``fill``, ``invalidate``,
-``invalidate_block``, ``clear``) updates it in the same step, so the
-scalar queries answer with one dict lookup instead of scanning a set's
-tags, and a directory invalidation of a block costs only what the cache
-holds of it.  Eviction still reads the set's ``ways`` slots (a set never
-holds more than ``ways`` entries, so it is a min over ``ways`` stamps).
-The batch methods (``residency``, ``dirty_at``, ``touch_positions``)
-evaluate whole address vectors in single array operations on the arrays
-alone, which is what the execution engine's vectorized fast path is
-built on; they change stamps and dirty flags, never tags.  Both paths
-produce bit-identical cache state.
+State lives in three flat arrays of ``num_sets * ways`` slots, set by
+set -- ``tags`` (the line held by each slot, -1 when empty), ``stamps``
+(per-slot LRU ticks from one global counter) and ``dirty`` flags, each
+read and written through a memoryview -- plus a ``line -> slot`` dict,
+the slot index.  The index holds exactly the resident lines: line ``l``
+maps to slot ``s`` if and only if ``tags[s] == l``.  Every method that
+changes a tag (``fill``, ``invalidate``, ``invalidate_block``,
+``clear``) updates it in the same step, so every query answers with one
+dict lookup instead of scanning a set's tags, and a directory
+invalidation of a block costs only what the cache holds of it.
+Eviction still reads the set's ``ways`` slots (a set never holds more
+than ``ways`` entries, so it is a min over ``ways`` stamps).  The
+engine's batched lane
+(:meth:`repro.sim.backends.composed.ComposedBackend.access_batch`) is
+the one caller that reads the index and updates ``stamps``, ``dirty``
+and the tick counter directly, a hit at a time, exactly as ``lookup``
+and ``mark_dirty`` would; it never changes a tag or the index.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ import numpy as np
 from repro.sim.directory import LINES_PER_BLOCK
 
 __all__ = ["SetAssociativeCache"]
-
-#: Shared 1..N ramp for batch LRU stamping; sliced, never mutated.
-_STAMP_RAMP = np.arange(1, 4097, dtype=np.int64)
 
 
 class SetAssociativeCache:
@@ -59,21 +57,20 @@ class SetAssociativeCache:
         self.ways = min(ways, capacity_items)
         self.num_sets = max(1, capacity_items // self.ways)
         self.capacity_items = self.num_sets * self.ways
-        self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        self._stamps = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self._dirty = np.zeros((self.num_sets, self.ways), dtype=bool)
-        # Flat views over the same buffers: scalar ops index these
-        # directly, avoiding a row-view allocation per access.
-        self._flat_tags = self._tags.ravel()
-        self._flat_stamps = self._stamps.ravel()
-        self._flat_dirty = self._dirty.ravel()
+        size = self.capacity_items
+        self._tags = np.full(size, -1, dtype=np.int64)
+        self._stamps = np.zeros(size, dtype=np.int64)
+        self._dirty = np.zeros(size, dtype=bool)
+        # Memoryviews over the same buffers: every per-reference read or
+        # write goes through these, which yield and take plain Python
+        # ints and bools at a fraction of numpy's scalar-indexing cost.
+        self._flat_tags = memoryview(self._tags)
+        self._flat_stamps = memoryview(self._stamps)
+        self._flat_dirty = memoryview(self._dirty)
         #: The slot index: flat slot of every resident line.
         self._slot_of: dict[int, int] = {}
         self._tick = 0
 
-    # ------------------------------------------------------------------
-    # scalar path
-    # ------------------------------------------------------------------
     def lookup(self, line: int, touch: bool = True) -> bool:
         """True if ``line`` is resident; refresh its LRU stamp if asked."""
         pos = self._slot_of.get(line)
@@ -114,9 +111,9 @@ class SetAssociativeCache:
                 victim = pos
         else:
             pos = victim
-            old = int(tags[pos])
+            old = tags[pos]
             del slot_of[old]
-            evicted = (old, bool(self._flat_dirty[pos]))
+            evicted = (old, self._flat_dirty[pos])
         tags[pos] = line
         stamps[pos] = self._tick
         self._flat_dirty[pos] = dirty
@@ -131,7 +128,7 @@ class SetAssociativeCache:
 
     def is_dirty(self, line: int) -> bool:
         pos = self._slot_of.get(line)
-        return pos is not None and bool(self._flat_dirty[pos])
+        return pos is not None and self._flat_dirty[pos]
 
     def clean(self, line: int) -> bool:
         """Clear a resident line's dirty mark (coherence downgrade M->S).
@@ -149,7 +146,7 @@ class SetAssociativeCache:
         pos = self._slot_of.pop(line, None)
         if pos is None:
             return False
-        was_dirty = bool(self._flat_dirty[pos])
+        was_dirty = self._flat_dirty[pos]
         self._flat_tags[pos] = -1
         self._flat_dirty[pos] = False
         return was_dirty
@@ -167,40 +164,9 @@ class SetAssociativeCache:
                 self._flat_dirty[pos] = False
 
     # ------------------------------------------------------------------
-    # batch path (the engine's vectorized fast lane)
-    # ------------------------------------------------------------------
-    def residency(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(resident, slots)``: per-line residency plus the flat slot
-        index of each line (meaningful only where ``resident``)."""
-        sets = lines % self.num_sets
-        eq = self._tags[sets] == lines[:, None]
-        resident = eq.any(axis=1)
-        slots = sets * self.ways + eq.argmax(axis=1)
-        return resident, slots
-
-    def dirty_at(self, slots: np.ndarray) -> np.ndarray:
-        """Dirty flags at flat slot indices (as returned by
-        :meth:`residency`; only meaningful where the line was resident)."""
-        return self._flat_dirty[slots]
-
-    def touch_positions(self, slots: np.ndarray, dirty: np.ndarray | None = None) -> None:
-        """Apply one in-order LRU touch per slot (duplicates allowed:
-        later touches win, exactly as sequential ``lookup`` calls would)
-        and optionally set dirty marks where ``dirty`` is True."""
-        k = slots.size
-        if not k:
-            return
-        base = self._tick
-        self._tick = base + k
-        ramp = _STAMP_RAMP[:k] if k <= _STAMP_RAMP.size else np.arange(1, k + 1, dtype=np.int64)
-        self._flat_stamps[slots] = base + ramp
-        if dirty is not None:
-            self._flat_dirty[slots[dirty]] = True
-
-    # ------------------------------------------------------------------
     @property
     def resident_lines(self) -> int:
-        return int((self._tags >= 0).sum())
+        return len(self._slot_of)
 
     def clear(self) -> None:
         self._tags.fill(-1)

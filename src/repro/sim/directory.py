@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from repro.sim.latencies import DIRECTORY_BLOCK_BYTES, ITEM_BYTES
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "Directory",
     "LINES_PER_BLOCK",
     "block_of",
-    "first_unowned_write",
 ]
 
 #: 256-byte directory blocks hold 4 cache lines.
@@ -38,29 +35,6 @@ LINES_PER_BLOCK = DIRECTORY_BLOCK_BYTES // ITEM_BYTES
 def block_of(line: int) -> int:
     """Directory block containing an item-granular line address."""
     return line // LINES_PER_BLOCK
-
-
-def first_unowned_write(
-    owner_of, machine: int, lines: np.ndarray, writes: np.ndarray, k: int
-) -> int:
-    """Index of the first write in ``writes[:k]`` to a block ``machine``
-    does not own exclusively, or ``k`` when every write is owned.
-
-    Used by the back-ends' batch eligibility check.  Consecutive writes
-    overwhelmingly land in the same directory block (spatial locality),
-    so the ownership lookup is memoized per block run instead of paying
-    a vectorized unique/sort per call.
-    """
-    prev = -1
-    owned = False
-    for j in np.flatnonzero(writes[:k]).tolist():
-        b = int(lines[j]) // LINES_PER_BLOCK
-        if b != prev:
-            prev = b
-            owned = owner_of(b) == machine
-        if not owned:
-            return j
-    return k
 
 
 class BlockState(str, Enum):

@@ -15,15 +15,17 @@ the default (200 cycles, a few memory accesses) is indistinguishable in
 aggregate statistics and several times faster.
 
 Two execution lanes produce bit-identical results.  The scalar lane
-dispatches one ``backend.access`` per reference.  The vectorized lane
-(``fastpath=True``, the default) asks the back-end to consume whole runs
-of references via ``access_batch`` -- maximal stretches of pure-local
-cache hits between barriers and the causality horizon, which cannot
-touch a shared server or another process's coherence state -- in single
-array operations, falling back to scalar for anything that could queue,
-invalidate, or miss.  Per-trace arrays (addresses, issue costs, barrier
-indices) are hoisted once at construction and reused across ``execute``
-calls rather than rebuilt per invocation.
+dispatches one ``backend.access`` per reference.  The batched lane
+(``fastpath=True``, the default) first offers every step to
+``backend.access_batch``, which walks the run of pure-local cache hits
+that starts there -- hits that cannot touch a shared server or another
+process's coherence state -- one slot-index lookup per reference, up to
+the next barrier, the causality horizon or the next fault trigger, and
+advances the clock with the scalar step's own additions.  The reference
+that ends a run (a miss, or a hit that could queue or invalidate) is
+stepped scalar at once.  Per-trace views (addresses, write flags,
+compute work, barrier indices) are hoisted once at construction and
+reused across ``execute`` calls rather than rebuilt per invocation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.faults.inject import F_DELAY, F_STALL, F_SLOW, compile_triggers
 from repro.faults.plan import FaultPlan
 from repro.obs.profile import CycleProfile
 from repro.obs.timeline import Timeline, TimelineRecorder
-from repro.sim.backends.base import BATCH_CHUNK, BackendStats, _acc, make_backend
+from repro.sim.backends.base import BackendStats, _acc, make_backend
 
 __all__ = ["SimulationEngine", "SimulationResult"]
 
@@ -115,16 +117,6 @@ class SimulationResult:
 class SimulationEngine:
     """Replays an :class:`ApplicationRun` on a platform back-end."""
 
-    #: Slices shorter than this go straight to the scalar lane; a batch
-    #: evaluation costs a fixed handful of array operations, which only
-    #: pays for itself over longer runs.
-    MIN_BATCH = 8
-    #: Skip batching when fewer than this many cycles remain before the
-    #: causality limit -- the window cannot fit a worthwhile run (every
-    #: reference costs at least two cycles).  With ``horizon=0`` this
-    #: disables batching entirely instead of regressing.
-    MIN_WINDOW = 2.0 * MIN_BATCH
-
     def __init__(
         self,
         spec: PlatformSpec,
@@ -143,8 +135,8 @@ class SimulationEngine:
         ``fault_plan`` injects deterministic misbehavior (delays,
         stalls, slowdowns, network spikes -- see :mod:`repro.faults`).
         Engine-side events trigger when a process's clock first reaches
-        the trigger time at a reference boundary; the vectorized lane
-        cuts every batch at the next pending trigger so both lanes stay
+        the trigger time at a reference boundary; the batched lane
+        cuts every run at the next pending trigger so both lanes stay
         bit-identical under any plan.  The default ``None`` adds no
         per-step cost.
 
@@ -184,43 +176,29 @@ class SimulationEngine:
             spikes = fault_plan.network_extra
             if spikes is not None:
                 backend.install_network_spikes(spikes)
-        # Hoisted per-trace arrays, built once and shared by every
+        # Hoisted per-trace views, built once and shared by every
         # execute() call: the hot loop must not re-read trace attributes
-        # or rebuild barrier lists per invocation.
-        self._addresses = [t.addresses for t in run.traces]
-        self._writes = [t.is_write for t in run.traces]
-        self._works = [t.work for t in run.traces]
+        # or rebuild barrier lists per invocation.  A memoryview indexes
+        # to plain Python scalars without copying the trace.
+        self._views = [
+            (memoryview(t.addresses), memoryview(t.is_write), memoryview(t.work))
+            for t in run.traces
+        ]
         self._barrier_lists = [t.barriers.tolist() for t in run.traces]
         self._lengths = [t.memory_instructions for t in run.traces]
         self._tail_works = [t.tail_work for t in run.traces]
-        # The vectorized lane leaves timing entirely to the engine, as
-        # per-trace prefix sums of the all-hit step cost (compute
-        # padding + 1-cycle issue + the back-end's fixed t_hit):
-        # an eligible run of k references starting at index i advances
-        # the clock by sched[i+k-1] - sched[i-1], and the causality cut
-        # is a single searchsorted.  Work and latencies are small
-        # multiples of 0.25 cycles, far below 2**53, so these float64
-        # sums are exact and bit-identical to scalar stepping.
-        if fastpath:
-            step = 1.0 + float(backend.t_hit)
-            self._scheds = [(t.work + step).cumsum() for t in run.traces]
-        else:
-            self._scheds = None
 
     # ------------------------------------------------------------------
     def execute(self) -> SimulationResult:
         run, backend = self.run, self.backend
         P = run.num_procs
-        addresses = self._addresses
-        writes = self._writes
-        works = self._works
-        scheds = self._scheds
+        views = self._views
         barrier_lists = self._barrier_lists
         lengths = self._lengths
         tail_works = self._tail_works
         use_batch = self.fastpath
-        min_batch = self.MIN_BATCH
-        min_window = self.MIN_WINDOW
+        access = backend.access
+        access_batch = backend.access_batch
         # Interval sampling: rec stays None on the default path, so the
         # hot loop pays only a local is-None test per step when off.
         rec = (
@@ -228,6 +206,8 @@ class SimulationEngine:
             if self.sample_every is not None
             else None
         )
+        #: Completion times of a batched run, collected only when sampling.
+        times = [] if rec is not None else None
         # Cycle attribution: the back-end feeds (node, cause) buckets of
         # the sink dict on every miss path; the engine accounts for the
         # remaining advances itself -- compute, cache-hit time (folded
@@ -247,7 +227,6 @@ class SimulationEngine:
         clock = [0.0] * P
         index = [0] * P
         next_barrier = [0] * P
-        retry_at = [0] * P  #: batch re-attempt hints from access_batch
         # Fault-injection state: per-process trigger cursor and current
         # compute-slowdown factor.  ``ftrigs is None`` on the default
         # path, costing one comparison per scheduling round.
@@ -257,12 +236,6 @@ class SimulationEngine:
         fault_cycles = 0.0
         fault_events = 0
         INF = float("inf")
-        # Per-process window cap, adapted to recent run lengths: the
-        # eligibility scan costs O(window), so sizing the window to a
-        # few times the typical miss-free run avoids scanning hundreds
-        # of references to consume twenty.  Purely a performance knob --
-        # consumption is always a prefix, so results are unchanged.
-        caps = [192] * P
         barrier_arrivals: list[float] = []
         waiting: list[int] = []
         barrier_wait = 0.0
@@ -275,17 +248,13 @@ class SimulationEngine:
 
         while heap:
             now, _, p = heapq.heappop(heap)
-            limit = (heap[0][0] + horizon) if heap else float("inf")
-            addr = addresses[p]
-            wr = writes[p]
-            wk = works[p]
-            sc = scheds[p] if use_batch else None
+            limit = (heap[0][0] + horizon) if heap else INF
+            addr, wr, wk = views[p]
             bl = barrier_lists[p]
             i = index[p]
             n_i = lengths[p]
             t = clock[p]
             nb = next_barrier[p]
-            retry = retry_at[p]
             if ftrigs is not None:
                 ftl = ftrigs[p]
                 fi = fidx[p]
@@ -302,9 +271,9 @@ class SimulationEngine:
             while True:
                 # Drain every fault trigger the clock has reached.  Both
                 # lanes pass through this point with identical clocks (a
-                # batch is cut at the crossing reference, exactly where
-                # the scalar loop would land), so trigger application is
-                # lane-independent by construction.
+                # batched run stops after the crossing reference, exactly
+                # where the scalar loop would land), so trigger
+                # application is lane-independent by construction.
                 while fnext <= t:
                     _, code, val = ftl[fi]
                     if code == F_DELAY:
@@ -351,65 +320,33 @@ class SimulationEngine:
                     finished += 1
                     done = True
                     break
-                if use_batch and factor == 1.0 and i >= retry and limit - t >= min_window:
-                    # Vectorized lane: cut the run at the next barrier
-                    # and at the causality limit (the crossing reference
-                    # is included, as in the scalar loop), then let the
-                    # back-end consume the provably pure-local prefix in
-                    # one shot -- bit-identical to scalar stepping.
+                if use_batch and factor == 1.0:
+                    # Batched lane: the back-end walks the run of pure
+                    # hits from i, cut at the next barrier, after the
+                    # reference crossing the causality limit and where
+                    # the next fault trigger fires -- exactly where the
+                    # scalar loop would stop.
                     stop = bl[nb] if nb < len(bl) else n_i
-                    if stop - i >= min_batch:
-                        base = sc[i - 1] if i else 0.0
-                        hi = i + caps[p]
-                        if hi > stop:
-                            hi = stop
-                        e = i + int(
-                            np.searchsorted(sc[i:hi], limit - t + base, side="right")
-                        ) + 1
-                        if fnext != INF:
-                            # Cut at the next fault trigger so the batch
-                            # stops exactly where the scalar lane would:
-                            # triggering is non-strict (t >= fnext), so
-                            # side="left" finds the crossing reference,
-                            # +1 includes it -- the scalar lane also
-                            # completes it before the trigger fires.
-                            e2 = i + int(
-                                np.searchsorted(
-                                    sc[i:hi], fnext - t + base, side="left"
-                                )
-                            ) + 1
-                            if e2 < e:
-                                e = e2
-                        if e > hi:
-                            e = hi
-                        if e - i >= min_batch:
-                            k, skip = backend.access_batch(p, addr[i:e], wr[i:e], t)
-                            retry = i + skip
-                            if k:
-                                cap = 4 * k
-                                caps[p] = (
-                                    64 if cap < 64
-                                    else BATCH_CHUNK if cap > BATCH_CHUNK
-                                    else cap
-                                )
-                                if rec is not None:
-                                    # The j-th consumed hit completes at
-                                    # t + (sc[i+j] - base) -- the exact
-                                    # times the scalar lane would realize.
-                                    rec.record_batch(t + (sc[i:i + k] - base))
-                                i += k
-                                adv = float(sc[i - 1] - base)
-                                t += adv
-                                if profiling:
-                                    # The run's compute share: the batch
-                                    # advance minus k hit latencies (the
-                                    # hits are folded once at the end).
-                                    compute_cycles += adv - k * t_hit_f
-                                if t > limit:
-                                    break
-                                continue
-                    else:
-                        retry = stop
+                    k, t_run = access_batch(
+                        p, addr, wr, wk, i, stop, t, limit, fnext, times
+                    )
+                    if k:
+                        if rec is not None:
+                            rec.record_batch(times)
+                            times.clear()
+                        if profiling:
+                            # The run's compute share: its advance minus
+                            # k hit latencies (the hits are folded once
+                            # at the end).
+                            compute_cycles += (t_run - t) - k * t_hit_f
+                        t = t_run
+                        i += k
+                        if t > limit:
+                            break
+                        if i == stop or t >= fnext:
+                            continue
+                    # The run ended on a reference that is no pure hit:
+                    # step it scalar now.
                 # one instruction-stream step: compute, then the reference
                 if factor != 1.0:
                     full = wk[i] * factor + 1.0
@@ -423,7 +360,7 @@ class SimulationEngine:
                     t += step
                     if profiling:
                         compute_cycles += step
-                t = backend.access(p, int(addr[i]), bool(wr[i]), t)
+                t = access(p, addr[i], wr[i], t)
                 i += 1
                 if rec is not None:
                     rec.record_access(t)
@@ -433,7 +370,6 @@ class SimulationEngine:
             index[p] = i
             next_barrier[p] = nb
             clock[p] = t
-            retry_at[p] = retry
             if ftrigs is not None:
                 fidx[p] = fi
                 fslow[p] = factor

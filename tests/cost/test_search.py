@@ -449,6 +449,41 @@ class TestWorkloadMemos:
             assert _rows(outcome.result.ranking) == _rows(fresh.result.ranking)
             assert outcome.frontier == fresh.frontier
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_memos_keep_only_the_most_recent_workloads(self, method) -> None:
+        """A long-lived engine keeps the memos of the MEMO_WORKLOADS most
+        recently searched workloads; an evicted workload is recomputed
+        and answers like a fresh engine."""
+        from dataclasses import replace
+
+        from repro.cost.search import MEMO_WORKLOADS
+
+        custom = [
+            replace(PAPER_LU, name=f"custom-{i}", beta=PAPER_LU.beta * (1.0 + i / 8))
+            for i in range(20)
+        ]
+        engine = DesignSearch(space=SMALL_SPACE, method=method, metrics=MetricsRegistry())
+        for workload in custom:
+            engine.search(workload, 9_000.0)
+        recent = custom[-MEMO_WORKLOADS:]
+        assert list(engine._seconds) == list(engine._bounds) == recent
+        assert all(engine._seconds[w] for w in recent)
+        # A search refreshes its workload: the oldest kept one survives
+        # the next new workload, the second oldest is evicted instead.
+        again = engine.search(recent[0], 12_000.0)
+        assert again.stats.memo_hits > 0
+        engine.search(custom[0], 9_000.0)
+        assert recent[0] in engine._seconds and recent[1] not in engine._seconds
+        assert len(engine._seconds) == len(engine._bounds) == MEMO_WORKLOADS
+        for workload, budget in ((custom[0], 9_000.0), (recent[1], 12_000.0),
+                                 (recent[0], 12_000.0)):
+            warm = engine.search(workload, budget)
+            fresh = DesignSearch(
+                space=SMALL_SPACE, method=method, metrics=MetricsRegistry()
+            ).search(workload, budget)
+            assert _rows(warm.result.ranking) == _rows(fresh.result.ranking)
+            assert warm.frontier == fresh.frontier
+
     def test_mixed_workload_on_a_warm_engine_matches_optimize_cluster(self) -> None:
         from repro.workloads.mix import mix_workloads
 

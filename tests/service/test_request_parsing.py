@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.obs.metrics import MetricsRegistry
 from repro.service.api import (
     MAX_PROCESSORS,
+    MAX_SIMULATED_APP_ARGS,
     MAX_SIMULATED_CACHE_KB,
     MAX_SIMULATED_MEMORY_MB,
     REQUEST_KEYS,
@@ -126,6 +127,44 @@ class TestBoundaryCases:
         body = {"app": "FFT", "machines": 1, "procs_per_machine": 2, **extra}
         with pytest.raises(QueryError, match=message):
             core.parse("simulate", body)
+
+    def test_app_args_are_typed_and_bounded_before_any_run(self, core, monkeypatch):
+        from repro.apps.fft import FftApplication
+
+        def run(self):
+            raise AssertionError("the parser ran the application")
+
+        monkeypatch.setattr(FftApplication, "run", run)
+        body = {"app": "FFT", "machines": 1, "procs_per_machine": 2}
+        limit = MAX_SIMULATED_APP_ARGS["points"]
+        for points, message in (
+            (256.0, "app_args 'points' of FFT must be an integer, got 256.0"),
+            (2**40, f"app_args 'points' of FFT must be from 1 to {limit} to simulate"),
+            (4 * limit, f"must be from 1 to {limit} to simulate, got {4 * limit}"),
+        ):
+            with pytest.raises(QueryError, match=message):
+                core.parse("simulate", {**body, "app_args": {"points": points}})
+        assert core.parse("simulate", {**body, "app_args": {"points": limit}})[2] == {
+            "points": limit
+        }
+        with pytest.raises(QueryError, match="'threshold' of EDGE must be a finite number"):
+            core.parse("simulate", {**body, "app": "EDGE", "app_args": {"threshold": "8"}})
+
+    def test_every_integer_app_arg_has_a_ceiling(self):
+        """Each integer constructor argument of a built-in application
+        has a simulate ceiling at or above its default."""
+        import inspect
+
+        from repro.apps.registry import APPLICATIONS, make_application
+
+        seen = set()
+        for name in APPLICATIONS:
+            app = make_application(name, 1, 0)
+            for key, param in inspect.signature(type(app)).parameters.items():
+                if param.annotation in (int, "int") and key not in ("num_procs", "seed"):
+                    seen.add(key)
+                    assert getattr(app, key) <= MAX_SIMULATED_APP_ARGS[key], (name, key)
+        assert seen == set(MAX_SIMULATED_APP_ARGS)
 
     def test_budget_and_method_reach_the_design_query(self, core):
         query = core.parse("design", {"workload": "LU", "budget": 9000,

@@ -333,6 +333,23 @@ class TestSimulatePath:
         assert health["breaker"] == "closed"
         assert p_status == 200 and p_obj["degraded"] is False
 
+    def test_untyped_or_oversized_app_args_are_a_400_before_any_worker(self):
+        # Both constructed fine and used to fail (or allocate) in run(),
+        # in the worker, counting against the breaker.
+        bodies = [{**SIM_BODY, "app_args": {"points": points}} for points in (256.0, 2**40)]
+
+        def client(request, service):
+            bad = [request("POST", "/v1/simulate", body) for body in bodies]
+            health = request("GET", "/healthz")
+            return bad, health, service.core.simulate_dispatches
+
+        bad, (_, health), dispatches = drive(client, config=ServiceConfig(jobs=1))
+        assert [status for status, _ in bad] == [400, 400]
+        assert "must be an integer, got 256.0" in bad[0][1]["error"]
+        assert "must be from 1 to 65536 to simulate" in bad[1][1]["error"]
+        assert dispatches == 0
+        assert health["breaker"] == "closed"
+
     def test_client_deadline_is_enforced_with_a_504(self):
         def client(request, service):
             body = dict(SIM_BODY, deadline_s=0.001)

@@ -122,10 +122,6 @@ _STEPS = st.one_of(
     st.tuples(st.just("mark_dirty"), _line),
     st.tuples(st.just("clean"), _line),
     st.tuples(st.just("clear")),
-    st.tuples(
-        st.just("batch"),
-        st.lists(st.tuples(_line, st.booleans()), min_size=1, max_size=8),
-    ),
 )
 
 
@@ -133,23 +129,21 @@ class TestSlotIndex:
     @given(steps=st.lists(_STEPS, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_index_mirrors_arrays(self, steps):
-        """The scalar queries read the slot index and the batch methods
-        read the arrays; after any interleaving of the two they agree
-        on every line's residency and dirty mark."""
+        """The queries read the slot index, the arrays hold the tags and
+        dirty flags; after every step of any interleaving of the scalar
+        mutators the two agree on every line's residency and dirty
+        mark, and no set holds a line twice."""
         c = SetAssociativeCache(capacity_items=4, ways=2)
-        every = np.arange(_LINES, dtype=np.int64)
         for op, *args in steps:
             if op == "fill":
                 c.fill(args[0], dirty=args[1])
-            elif op == "batch":
-                lines = np.array([l for l, _ in args[0]], dtype=np.int64)
-                writes = np.array([w for _, w in args[0]])
-                resident, slots = c.residency(lines)
-                c.touch_positions(slots[resident], dirty=writes[resident])
             else:
                 getattr(c, op)(*args)
-            resident, slots = c.residency(every)
-            dirty = resident & c.dirty_at(slots)
+            tags = c._flat_tags.tolist()
+            dirty = c._flat_dirty.tolist()
+            held = [line for line in tags if line >= 0]
+            assert len(held) == len(set(held)) == c.resident_lines
             for line in range(_LINES):
-                assert c.contains(line) == resident[line]
-                assert c.is_dirty(line) == dirty[line]
+                resident = line in tags
+                assert c.contains(line) == resident
+                assert c.is_dirty(line) == (resident and dirty[tags.index(line)])
