@@ -7,7 +7,7 @@ and prints the measured model-vs-simulation wall-clock ratio.
 
 from conftest import report
 
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 from repro.experiments.speed import run_speed_comparison
 
 
@@ -19,5 +19,5 @@ def test_model_speed(benchmark, runner):
     from repro.experiments.configs import TABLE3_SMPS, scaled
 
     spec = scaled(TABLE3_SMPS[0])
-    cal = Calibration()
+    cal = DEFAULT_CALIBRATION
     benchmark(runner.model, "FFT", spec, cal)

@@ -7,7 +7,7 @@ per configuration (the workload is the measured FFT characterization).
 from conftest import report
 
 from repro.experiments.configs import TABLE3_SMPS, scaled
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 
 
 def test_table3(benchmark, runner):
@@ -19,7 +19,7 @@ def test_table3(benchmark, runner):
     report("Table 3: selected SMPs (CPU speed 200 MHz)", "\n".join(lines))
 
     specs = [scaled(s) for s in TABLE3_SMPS]
-    cal = Calibration()
+    cal = DEFAULT_CALIBRATION
     runner.characterization("FFT")  # warm the cache outside the timer
 
     def model_all():

@@ -1,9 +1,11 @@
 """Table 4: the selected clusters of workstations C7-C11."""
 
+from dataclasses import replace
+
 from conftest import report
 
 from repro.experiments.configs import TABLE4_COWS, scaled
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 
 
 def test_table4(benchmark, runner):
@@ -16,7 +18,7 @@ def test_table4(benchmark, runner):
     report("Table 4: selected clusters of workstations (CPU speed 200 MHz)", "\n".join(lines))
 
     specs = [scaled(s) for s in TABLE4_COWS]
-    cal = Calibration(remote_rate_adjustment=0.124)
+    cal = replace(DEFAULT_CALIBRATION, remote_rate_adjustment=0.124)
     runner.characterization("FFT")
     for s in specs:
         runner.sharing("FFT", s)  # measured inputs cached outside the timer

@@ -1,9 +1,11 @@
 """Table 5: the selected clusters of SMPs C12-C15."""
 
+from dataclasses import replace
+
 from conftest import report
 
 from repro.experiments.configs import TABLE5_CLUMPS, scaled
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 
 
 def test_table5(benchmark, runner):
@@ -16,7 +18,7 @@ def test_table5(benchmark, runner):
     report("Table 5: configurations of selected clusters of SMPs (200 MHz)", "\n".join(lines))
 
     specs = [scaled(s) for s in TABLE5_CLUMPS]
-    cal = Calibration(remote_rate_adjustment=0.124)
+    cal = replace(DEFAULT_CALIBRATION, remote_rate_adjustment=0.124)
     runner.characterization("FFT")
     for s in specs:
         runner.sharing("FFT", s)

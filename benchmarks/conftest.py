@@ -17,7 +17,8 @@ import sys
 
 import pytest
 
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.core.batch import ModelOptions
+from repro.experiments.runner import ExperimentRunner
 
 _CAPMAN = None
 
@@ -46,7 +47,7 @@ def runner() -> ExperimentRunner:
 
 
 @pytest.fixture(scope="session")
-def smp_calibration(runner) -> Calibration:
+def smp_calibration(runner) -> ModelOptions:
     """The Figure 2 calibration, shared by the SMP benches."""
     from repro.experiments.configs import TABLE3_SMPS, scaled
     from repro.experiments.table2 import TABLE2_APPS

@@ -12,8 +12,9 @@ Run:  python examples/model_vs_simulation.py
 
 import time
 
+from repro.core.batch import ModelOptions
 from repro.core.platform import PlatformSpec
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.latencies import NetworkKind
 
 KB, MB = 1024, 1024 * 1024
@@ -33,7 +34,7 @@ PLATFORMS = [
 
 def main() -> None:
     runner = ExperimentRunner()
-    calibration = Calibration(
+    calibration = ModelOptions(
         cache_capacity_factor=0.5, contention_boost=2.0, remote_rate_adjustment=0.124
     )
 

@@ -48,7 +48,7 @@ from repro.core.execution import MODES
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG
 from repro.cost.configspace import CandidateSpace
-from repro.cost.optimizer import ModelOptions, _batch_case, _predict, optimize_upgrade
+from repro.cost.optimizer import ModelOptions, _predict, optimize_upgrade
 from repro.cost.recommend import recommend
 from repro.cost.search import METHODS
 from repro.service.api import (
@@ -1173,14 +1173,16 @@ def _run(args: argparse.Namespace) -> int:
                 "supports --mode open only (the throttled/mva fixed points fold "
                 "the barrier inside their iteration; see docs/SCHEDULING.md)"
             )
-        knobs = _batch_case(spec, workload, ModelOptions())
+        case = ModelOptions().case(
+            spec, workload.sharing_at(spec.N), workload.sharing_fresh_fraction
+        )
         costs = process_costs(
             HeteroPlatform.from_spec(spec),
             workload.locality,
             workload.gamma,
-            remote_rate_adjustment=knobs.remote_rate_adjustment,
-            sharing_fraction=knobs.sharing_fraction,
-            sharing_fresh_fraction=knobs.sharing_fresh_fraction,
+            remote_rate_adjustment=case.remote_rate_adjustment,
+            sharing_fraction=case.sharing_fraction,
+            sharing_fresh_fraction=case.sharing_fresh_fraction,
         )
         est = evaluate_hetero(costs, resolve_policy(args.policy)(costs))
         print(spec.describe())

@@ -31,7 +31,7 @@ from repro.core.hierarchy import (
     PlatformKind,
     additional_levels,
 )
-from repro.core.platform import NetworkSpec, NetworkTopology, PlatformSpec
+from repro.core.platform import PlatformSpec
 from repro.core.amat import (
     PAPER_REMOTE_RATE_ADJUSTMENT,
     AmatBreakdown,
@@ -53,8 +53,6 @@ __all__ = [
     "MemoryLevel",
     "MvaCenter",
     "MvaSolution",
-    "NetworkSpec",
-    "NetworkTopology",
     "PAPER_REMOTE_RATE_ADJUSTMENT",
     "PlatformKind",
     "PlatformSpec",

@@ -2,7 +2,11 @@
 
 The design-space optimizer (:mod:`repro.cost.search`), the service's
 predict waves and the figure calibration evaluate one workload against
-many platforms.  This module folds each platform into its
+many platforms.  Every one of them names the model's global knobs with
+:class:`ModelOptions`: :meth:`ModelOptions.case` builds each platform's
+:class:`BatchCase`, and :attr:`ModelOptions.batch_knobs` holds the
+keyword arguments shared by the whole batch.  This module folds each
+platform into its
 :class:`~repro.core.hierarchy.MemoryHierarchy`, prices the whole batch
 in one call of the model's kernel, :class:`repro.core.amat.AmatKernel`,
 and converts T into seconds per instruction with the paper's Eq. 4.
@@ -38,30 +42,89 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.core.amat import AmatKernel
+from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT, AmatKernel
 from repro.core.execution import MODES
 from repro.core.hierarchy import MemoryHierarchy, PlatformKind
 from repro.core.locality import StackDistanceModel
 from repro.core.mva import mva_smp_amat
 from repro.core.platform import PlatformSpec
 
-__all__ = ["BatchCase", "e_instr_seconds_batch", "e_instr_lower_bounds"]
+__all__ = ["BatchCase", "ModelOptions", "e_instr_seconds_batch", "e_instr_lower_bounds"]
 
 
 @dataclass(frozen=True)
 class BatchCase:
     """One candidate of a batch: a platform plus its per-candidate knobs.
 
-    The optimizer's per-candidate inputs (measured sharing depends on the
-    machine count, the paper's remote-rate adjustment applies to clusters
-    only) ride here; batch-constant knobs (mode, barrier scale, ...) are
-    arguments of :func:`e_instr_seconds_batch`.
+    The per-candidate inputs (measured sharing depends on the machine
+    count, the paper's remote-rate adjustment applies to clusters only)
+    ride here, built by :meth:`ModelOptions.case`; batch-constant knobs
+    (mode, barrier scale, ...) are arguments of
+    :func:`e_instr_seconds_batch`.
     """
 
     spec: PlatformSpec
     sharing_fraction: float = 0.0
     sharing_fresh_fraction: float = 1.0
     remote_rate_adjustment: float = 0.0
+
+
+@dataclass(frozen=True)
+class ModelOptions:
+    """The model's global knobs, one value for every case of a batch.
+
+    The figure calibration (:meth:`repro.experiments.runner.ExperimentRunner.calibrate`
+    returns one), the design engine, the CLI and the service all pass
+    their knobs as this type.  The defaults are the design engine's:
+    the throttled fixed point, the paper's 12.4% remote-rate adjustment,
+    no capacity derating and the sharing term on.
+
+    ``use_sharing=False`` is the paper's pure capacity model: every case
+    gets sharing 0 and fresh fraction 1, whatever pair it was built
+    from.  ``false_sharing`` is read only by the experiment runner,
+    which measures each cell's (sharing, fresh) pair on the
+    application's traces with or without same-phase multi-writer block
+    contention (:meth:`~repro.experiments.runner.ExperimentRunner.sharing`).
+    The design path takes its pair from the workload's recorded
+    ``sharing_at(N)``, which :func:`repro.trace.analysis.characterize_run`
+    measures with false sharing included.
+    """
+
+    mode: str = "throttled"
+    remote_rate_adjustment: float = PAPER_REMOTE_RATE_ADJUSTMENT
+    barrier_scale: float = 1.0
+    cache_capacity_factor: float = 1.0
+    contention_boost: float = 1.0
+    use_sharing: bool = True  #: apply the measured sharing term
+    #: Include same-phase multi-writer block contention in the measured
+    #: sharing inputs (see repro.trace.analysis.measure_sharing).
+    false_sharing: bool = True
+
+    def case(self, spec: PlatformSpec, sharing: float, fresh: float) -> BatchCase:
+        """``spec`` as one case of a batch, given its (sharing, fresh) pair."""
+        if not self.use_sharing:
+            sharing, fresh = 0.0, 1.0
+        return BatchCase(spec, sharing, fresh, self.remote_rate_adjustment)
+
+    @property
+    def batch_knobs(self) -> dict:
+        """The batch-wide keyword arguments of :func:`e_instr_seconds_batch`
+        and :func:`~repro.core.execution.evaluate`."""
+        return {
+            "mode": self.mode,
+            "barrier_scale": self.barrier_scale,
+            "cache_capacity_factor": self.cache_capacity_factor,
+            "contention_boost": self.contention_boost,
+        }
+
+    def describe(self) -> str:
+        return (
+            f"mode={self.mode}, cache_capacity_factor={self.cache_capacity_factor:g}, "
+            f"contention_boost={self.contention_boost:g}, barrier_scale={self.barrier_scale:g}, "
+            f"remote_rate_adjustment={self.remote_rate_adjustment:g}, "
+            f"sharing={'on' if self.use_sharing else 'off'}"
+            f"{' (with false sharing)' if self.use_sharing and self.false_sharing else ''}"
+        )
 
 
 def _folds(

@@ -62,11 +62,6 @@ class MvaSolution:
     queue_lengths: tuple[float, ...]  #: per-center Q_i
     centers: tuple[MvaCenter, ...]
 
-    @property
-    def cycle_time(self) -> float:
-        """Z + sum v_i R_i: one customer's full interaction time."""
-        return self.population / self.throughput
-
     def utilization(self, i: int) -> float:
         """rho_i = X * v_i * s_i (Little's law at the server)."""
         c = self.centers[i]

@@ -9,8 +9,8 @@ classification (Table 1), and is the unit the cost optimizer enumerates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 
 from repro.core.hierarchy import MemoryHierarchy, PlatformKind
 from repro.sim.latencies import CPU_HZ, ITEM_BYTES, LatencyTable, NetworkKind, PAPER_LATENCIES
@@ -18,32 +18,11 @@ from repro.topology.build import build_hierarchy, classify
 from repro.topology.canned import scaled_topology, topology_for_spec
 from repro.topology.ir import ClusterNode, MachineNode, Topology, topology_from_dict
 
-__all__ = ["NetworkTopology", "NetworkSpec", "PlatformSpec"]
+__all__ = ["PlatformSpec"]
 
-
-class NetworkTopology(str, Enum):
-    """Shared-medium bus versus switched point-to-point fabric."""
-
-    BUS = "bus"
-    SWITCH = "switch"
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """A cluster network choice with its derived properties."""
-
-    kind: NetworkKind
-
-    @property
-    def topology(self) -> NetworkTopology:
-        return NetworkTopology.BUS if self.kind.is_bus else NetworkTopology.SWITCH
-
-    @property
-    def bandwidth_mbps(self) -> int:
-        return self.kind.bandwidth_mbps
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.kind.value
+#: The fields that must be ints.
+_INT_FIELDS = ("n", "N", "cache_bytes", "memory_bytes", "cache_ways")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -96,28 +75,50 @@ class PlatformSpec:
     topology: Topology | None = None
 
     def __post_init__(self) -> None:
+        # Counts and byte sizes are ints, not bools (a bool is an int
+        # subclass), so every size below compares as a number.
+        if not (
+            type(self.n) is int
+            and type(self.N) is int
+            and type(self.cache_bytes) is int
+            and type(self.memory_bytes) is int
+            and type(self.cache_ways) is int
+        ):
+            key = next(k for k in _INT_FIELDS if type(getattr(self, k)) is not int)
+            raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        if self.N > _FLOAT_MAX or self.memory_bytes > _FLOAT_MAX:
+            raise ValueError("N and memory_bytes must be finite as floats")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.n == 1 and self.N == 1:
             raise ValueError("a 1x1 platform is a plain uniprocessor; the paper's platforms are parallel (use n>1 or N>1)")
+        # The model folds capacities in whole items, so they are compared in items.
         if self.cache_bytes < ITEM_BYTES:
             raise ValueError(f"cache must hold at least one {ITEM_BYTES}-byte line")
-        if self.memory_bytes <= self.cache_bytes:
+        if self.memory_bytes // ITEM_BYTES <= self.cache_bytes // ITEM_BYTES:
             raise ValueError("memory must be larger than the cache")
         if self.topology is None and self.N > 1 and self.network is None:
             raise ValueError("a multi-machine cluster needs a network")
         if self.N == 1 and self.network is not None:
             raise ValueError("a single SMP has no cluster network")
-        if self.cpu_hz <= 0:
-            raise ValueError("cpu_hz must be positive")
+        hz = self.cpu_hz
+        if not (isinstance(hz, (int, float)) and type(hz) is not bool and 0 < hz <= _FLOAT_MAX):
+            raise ValueError(f"cpu_hz must be positive and finite, got {hz!r}")
         if self.cache_ways < 1:
             raise ValueError("cache_ways must be >= 1")
-        if self.l2_bytes is not None and not (
-            self.cache_bytes < self.l2_bytes < self.memory_bytes
-        ):
-            raise ValueError("l2_bytes must sit strictly between cache and memory")
+        if self.l2_bytes is not None:
+            if type(self.l2_bytes) is not int:
+                raise ValueError(f"l2_bytes must be an integer, got {self.l2_bytes!r}")
+            if not (
+                self.cache_bytes // ITEM_BYTES
+                < self.l2_bytes // ITEM_BYTES
+                < self.memory_bytes // ITEM_BYTES
+            ):
+                raise ValueError("l2_bytes must sit strictly between cache and memory")
         if self.topology is not None:
             self._check_topology_consistency()
 

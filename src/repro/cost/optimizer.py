@@ -6,7 +6,10 @@ and solve the optimization problem by enumerating solutions"), with the
 per-candidate model calls batched through the vectorized evaluator
 (:mod:`repro.core.batch`): one call of the model's kernel per candidate
 set, each answer exactly what :func:`~repro.core.execution.evaluate`
-gives the candidate alone.  ``optimize_upgrade`` solves the paper's
+gives the candidate alone.  The model's knobs are a
+:class:`~repro.core.batch.ModelOptions` (re-exported here), and each
+candidate's sharing is the workload's recorded ``sharing_at(N)``.
+``optimize_upgrade`` solves the paper's
 second question -- given an existing cluster and a budget increase B',
 choose the best upgraded configuration, constrained to *grow* the
 current one (same or larger n, N, cache, memory; network may be
@@ -48,8 +51,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
-from repro.core.batch import BatchCase, e_instr_seconds_batch
+from repro.core.batch import ModelOptions, e_instr_seconds_batch
 from repro.core.execution import ExecutionEstimate, evaluate
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG, PriceCatalog
@@ -67,47 +69,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelOptions:
-    """How the optimizer invokes the performance model."""
-
-    mode: str = "throttled"
-    remote_rate_adjustment: float = PAPER_REMOTE_RATE_ADJUSTMENT
-    barrier_scale: float = 1.0
-    cache_capacity_factor: float = 1.0
-    contention_boost: float = 1.0
-    use_sharing: bool = True  #: apply the workload's measured sharing term
-
-
 def _predict(
     spec: PlatformSpec, workload: WorkloadParams, options: ModelOptions
 ) -> ExecutionEstimate:
-    sharing = workload.sharing_at(spec.N) if options.use_sharing else 0.0
+    case = options.case(
+        spec, workload.sharing_at(spec.N), workload.sharing_fresh_fraction
+    )
     return evaluate(
         spec,
         workload.locality,
         workload.gamma,
-        remote_rate_adjustment=options.remote_rate_adjustment,
-        barrier_scale=options.barrier_scale,
-        mode=options.mode,  # type: ignore[arg-type]
-        sharing_fraction=sharing,
-        sharing_fresh_fraction=workload.sharing_fresh_fraction,
-        cache_capacity_factor=options.cache_capacity_factor,
-        contention_boost=options.contention_boost,
-    )
-
-
-def _batch_case(
-    spec: PlatformSpec, workload: WorkloadParams, options: ModelOptions
-) -> BatchCase:
-    """:func:`_predict`'s per-spec knobs, as one case of a batch."""
-    return BatchCase(
-        spec,
-        sharing_fraction=(
-            workload.sharing_at(spec.N) if options.use_sharing else 0.0
-        ),
-        sharing_fresh_fraction=workload.sharing_fresh_fraction,
-        remote_rate_adjustment=options.remote_rate_adjustment,
+        remote_rate_adjustment=case.remote_rate_adjustment,
+        sharing_fraction=case.sharing_fraction,
+        sharing_fresh_fraction=case.sharing_fresh_fraction,
+        **options.batch_knobs,
     )
 
 
@@ -115,14 +90,12 @@ def _predict_batch(
     specs: Sequence[PlatformSpec], workload: WorkloadParams, options: ModelOptions
 ):
     """E(Instr) seconds for many specs, each exactly what :func:`_predict` gives."""
+    fresh = workload.sharing_fresh_fraction
     return e_instr_seconds_batch(
-        [_batch_case(spec, workload, options) for spec in specs],
+        [options.case(spec, workload.sharing_at(spec.N), fresh) for spec in specs],
         workload.locality,
         workload.gamma,
-        mode=options.mode,  # type: ignore[arg-type]
-        barrier_scale=options.barrier_scale,
-        cache_capacity_factor=options.cache_capacity_factor,
-        contention_boost=options.contention_boost,
+        **options.batch_knobs,
     )
 
 

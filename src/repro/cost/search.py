@@ -11,7 +11,9 @@ questions cheap, none of it changing an answer:
    budget, so the mask yields the same candidates in the same order).
 2. **Batched, memoized evaluation** — candidates go through
    :func:`repro.core.batch.e_instr_seconds_batch` (each answer exactly
-   what :func:`~repro.core.execution.evaluate` gives alone).  The engine
+   what :func:`~repro.core.execution.evaluate` gives alone), each
+   built by :meth:`ModelOptions.case <repro.core.batch.ModelOptions.case>`
+   from the workload's recorded sharing.  The engine
    keeps one memo per workload, keyed on the workload object itself, that
    maps a candidate's enumeration index to its E(Instr): the catalog,
    space and options are fixed per engine, so an index names one model
@@ -52,17 +54,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.batch import e_instr_lower_bounds, e_instr_seconds_batch
+from repro.core.batch import ModelOptions, e_instr_lower_bounds, e_instr_seconds_batch
 from repro.core.platform import PlatformSpec
 from repro.cost.catalog import DEFAULT_CATALOG, PriceCatalog
 from repro.cost.configspace import CandidateSpace, enumerate_configurations
-from repro.cost.optimizer import (
-    DesignResult,
-    ModelOptions,
-    RankedConfiguration,
-    _batch_case,
-    _is_upgrade_of,
-)
+from repro.cost.optimizer import DesignResult, RankedConfiguration, _is_upgrade_of
 from repro.diskcache import DiskCache
 from repro.obs import metrics as obs_metrics
 from repro.pool import FaultTolerantPool
@@ -206,28 +202,6 @@ def upgrade_path(
     return tuple(path)
 
 
-# ----------------------------------------------------------------------
-# Model plumbing shared by the serial core and the pool workers
-# ----------------------------------------------------------------------
-def _batch_kwargs(options: ModelOptions) -> dict:
-    return dict(
-        mode=options.mode,
-        barrier_scale=options.barrier_scale,
-        cache_capacity_factor=options.cache_capacity_factor,
-        contention_boost=options.contention_boost,
-    )
-
-
-def _bound_kwargs(options: ModelOptions) -> dict:
-    # The zero-contention bound has no queueing, so contention_boost
-    # (which only inflates queueing rates) cannot tighten it: the bound
-    # stays admissible for every boost >= 1.
-    return dict(
-        barrier_scale=options.barrier_scale,
-        cache_capacity_factor=options.cache_capacity_factor,
-    )
-
-
 class _ParetoFront:
     """Running lower envelope of evaluated (price, seconds) points.
 
@@ -295,6 +269,7 @@ def _search_core(
     <= any exact time — is ever skipped (docs/COST.md has the argument).
     """
     locality, gamma = workload.locality, workload.gamma
+    fresh = workload.sharing_fresh_fraction
     seconds = {} if seconds is None else seconds
     bounds = {} if bounds is None else bounds
     hierarchies = {} if hierarchies is None else hierarchies
@@ -303,7 +278,8 @@ def _search_core(
     memo_hits = 0
 
     def cases(positions: list[int]) -> list:
-        return [_batch_case(candidates[p][1], workload, options) for p in positions]
+        specs = (candidates[p][1] for p in positions)
+        return [options.case(s, workload.sharing_at(s.N), fresh) for s in specs]
 
     def eval_positions(positions: list[int]) -> list[float]:
         nonlocal evaluated, memo_hits
@@ -312,7 +288,7 @@ def _search_core(
         if misses:
             values = e_instr_seconds_batch(
                 cases(misses), locality, gamma,
-                hierarchy_memo=hierarchies, **_batch_kwargs(options),
+                hierarchy_memo=hierarchies, **options.batch_knobs,
             )
             evaluated += len(misses)
             for p, value in zip(misses, values.tolist()):
@@ -332,9 +308,13 @@ def _search_core(
 
     unbounded = [p for p, (index, _, _) in enumerate(candidates) if index not in bounds]
     if unbounded:
+        # The zero-contention bound has no queueing, so contention_boost
+        # (which only inflates queueing rates) cannot tighten it: the bound
+        # stays admissible for every boost >= 1.
         values = e_instr_lower_bounds(
             cases(unbounded), locality, gamma, hierarchy_memo=hierarchies,
-            **_bound_kwargs(options),
+            barrier_scale=options.barrier_scale,
+            cache_capacity_factor=options.cache_capacity_factor,
         )
         for p, value in zip(unbounded, values.tolist()):
             bounds[candidates[p][0]] = value

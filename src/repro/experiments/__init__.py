@@ -15,7 +15,7 @@ from repro.experiments.configs import (
     paper_config,
     scaled,
 )
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.table2 import Table2Result, run_table2
 from repro.experiments.figures import FigureResult, run_figure2, run_figure3, run_figure4
 from repro.experiments.casestudies import CaseStudyResult, run_case_studies
@@ -36,7 +36,6 @@ __all__ = [
     "AblationResult",
     "AxisSensitivity",
     "BetaScalingResult",
-    "Calibration",
     "CaseStudyResult",
     "CoherenceResult",
     "DelayPropagationPoint",

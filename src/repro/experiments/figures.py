@@ -9,8 +9,10 @@ quantity the paper's figures plot.
 The paper reports worst-case differences below 5% (SMPs), 10% (COWs,
 after the 12.4% remote-rate adjustment) and 8% (CLUMPs).  Our scaled
 reproduction self-calibrates the model's global constants per figure
-(the paper's own procedure, see :class:`~repro.experiments.runner.Calibration`)
-and reports the achieved bound next to the paper's.
+(the paper's own procedure, see
+:meth:`~repro.experiments.runner.ExperimentRunner.calibrate`) into a
+:class:`~repro.core.batch.ModelOptions` and reports the achieved bound
+next to the paper's.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
+from repro.core.batch import ModelOptions
 from repro.core.validation import ComparisonRow, format_table
 from repro.experiments.configs import SCALE, TABLE3_SMPS, TABLE4_COWS, TABLE5_CLUMPS, scaled
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.table2 import TABLE2_APPS
 
 __all__ = ["FigureResult", "run_figure2", "run_figure3", "run_figure4"]
@@ -30,7 +33,7 @@ __all__ = ["FigureResult", "run_figure2", "run_figure3", "run_figure4"]
 class FigureResult:
     figure: str
     rows: tuple[ComparisonRow, ...]
-    calibration: Calibration
+    calibration: ModelOptions
     paper_bound: float  #: the paper's reported worst-case difference
 
     @property
@@ -77,7 +80,7 @@ def _run_figure(
     specs,
     paper_bound: float,
     runner: ExperimentRunner | None,
-    calibration: Calibration | None,
+    calibration: ModelOptions | None,
     adjustments,
 ) -> FigureResult:
     runner = runner or ExperimentRunner()
@@ -96,7 +99,7 @@ def _run_figure(
 
 
 def run_figure2(
-    runner: ExperimentRunner | None = None, calibration: Calibration | None = None
+    runner: ExperimentRunner | None = None, calibration: ModelOptions | None = None
 ) -> FigureResult:
     """Figure 2: the six SMPs of Table 3 (paper: differences < 5%)."""
     return _run_figure(
@@ -105,7 +108,7 @@ def run_figure2(
 
 
 def run_figure3(
-    runner: ExperimentRunner | None = None, calibration: Calibration | None = None
+    runner: ExperimentRunner | None = None, calibration: ModelOptions | None = None
 ) -> FigureResult:
     """Figure 3: the five COWs of Table 4 (paper: < 10% after a 12.4%
     remote-rate adjustment; our adjustment is part of the calibration)."""
@@ -120,7 +123,7 @@ def run_figure3(
 
 
 def run_figure4(
-    runner: ExperimentRunner | None = None, calibration: Calibration | None = None
+    runner: ExperimentRunner | None = None, calibration: ModelOptions | None = None
 ) -> FigureResult:
     """Figure 4: the four CLUMPs of Table 5 (paper: < 8%)."""
     return _run_figure(

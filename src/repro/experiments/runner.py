@@ -16,13 +16,15 @@ horizon, the full platform spec, sampling, faults and profiling -- plus
 the package source, so re-running a grid reloads finished cells
 instead of resimulating them.
 
-:class:`Calibration` bundles the model's free constants.  The paper
-calibrates exactly one of them (the 12.4% remote-access-rate
-adjustment); our scaled-down reproduction exposes three more (cache
-associativity derating, burstiness boost, barrier scale -- see
-DESIGN.md) and :meth:`ExperimentRunner.calibrate` picks one global
-setting per figure by grid search against the simulator, precisely the
-procedure the authors describe for their adjustment.
+The model's free constants are a :class:`~repro.core.batch.ModelOptions`,
+the type the design engine takes too.  The paper calibrates exactly
+one of them (the 12.4% remote-access-rate adjustment); our scaled-down
+reproduction exposes three more (cache associativity derating,
+burstiness boost, barrier scale -- see DESIGN.md) and
+:meth:`ExperimentRunner.calibrate` picks one global setting per figure
+by grid search against the simulator, precisely the procedure the
+authors describe for their adjustment.  :data:`DEFAULT_CALIBRATION` is
+the setting an experiment uses without self-calibration.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.apps.base import ApplicationRun
 from repro.apps.registry import make_application
-from repro.core.batch import BatchCase, e_instr_seconds_batch
+from repro.core.batch import ModelOptions, e_instr_seconds_batch
 from repro.core.execution import ExecutionEstimate, evaluate
 from repro.core.platform import PlatformSpec
 from repro.core.validation import ComparisonRow
@@ -52,7 +54,7 @@ from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.trace.analysis import analyze_trace, measure_sharing
 from repro.workloads.params import WorkloadParams
 
-__all__ = ["Calibration", "ExperimentRunner", "DEFAULT_CALIBRATION"]
+__all__ = ["ExperimentRunner", "DEFAULT_CALIBRATION"]
 
 _log = get_logger("repro.experiments.runner")
 
@@ -122,32 +124,8 @@ def _simulate_cell(
     return result, tracer.roots[0].to_obj()
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """Global model constants used for one validation figure."""
-
-    mode: str = "throttled"
-    cache_capacity_factor: float = 0.5
-    contention_boost: float = 1.0
-    barrier_scale: float = 1.0
-    remote_rate_adjustment: float = 0.0
-    use_sharing: bool = True
-    #: Include same-phase multi-writer block contention in the measured
-    #: sharing inputs (see repro.trace.analysis.measure_sharing).
-    false_sharing: bool = True
-
-    def describe(self) -> str:
-        return (
-            f"mode={self.mode}, cache_capacity_factor={self.cache_capacity_factor:g}, "
-            f"contention_boost={self.contention_boost:g}, barrier_scale={self.barrier_scale:g}, "
-            f"remote_rate_adjustment={self.remote_rate_adjustment:g}, "
-            f"sharing={'on' if self.use_sharing else 'off'}"
-            f"{' (with false sharing)' if self.use_sharing and self.false_sharing else ''}"
-        )
-
-
 #: Used when an experiment is run without self-calibration.
-DEFAULT_CALIBRATION = Calibration()
+DEFAULT_CALIBRATION = ModelOptions(cache_capacity_factor=0.5, remote_rate_adjustment=0.0)
 
 
 class ExperimentRunner:
@@ -449,38 +427,25 @@ class ExperimentRunner:
         if span_obj is not None:
             tracer.attach(Span.from_obj(span_obj))
 
-    def _case(
-        self, name: str, spec: PlatformSpec, calibration: Calibration
-    ) -> BatchCase:
-        """The per-cell model knobs :meth:`model` and :meth:`calibrate` share."""
-        sigma, fresh = (
-            self.sharing(name, spec, include_false_sharing=calibration.false_sharing)
+    def model(
+        self, name: str, spec: PlatformSpec, calibration: ModelOptions
+    ) -> ExecutionEstimate:
+        params = self.characterization(name)
+        # Sharing off reads no measured pair, so none is measured.
+        sharing = (
+            self.sharing(name, spec, calibration.false_sharing)
             if calibration.use_sharing
             else (0.0, 1.0)
         )
-        return BatchCase(
-            spec,
-            sharing_fraction=sigma,
-            sharing_fresh_fraction=fresh,
-            remote_rate_adjustment=calibration.remote_rate_adjustment,
-        )
-
-    def model(
-        self, name: str, spec: PlatformSpec, calibration: Calibration
-    ) -> ExecutionEstimate:
-        params = self.characterization(name)
-        case = self._case(name, spec, calibration)
+        case = calibration.case(spec, *sharing)
         return evaluate(
             spec,
             params.locality,
             params.gamma,
             remote_rate_adjustment=case.remote_rate_adjustment,
-            barrier_scale=calibration.barrier_scale,
-            mode=calibration.mode,  # type: ignore[arg-type]
             sharing_fraction=case.sharing_fraction,
             sharing_fresh_fraction=case.sharing_fresh_fraction,
-            cache_capacity_factor=calibration.cache_capacity_factor,
-            contention_boost=calibration.contention_boost,
+            **calibration.batch_knobs,
         )
 
     # ------------------------------------------------------------------
@@ -488,7 +453,7 @@ class ExperimentRunner:
         self,
         apps: Sequence[str],
         specs: Sequence[PlatformSpec],
-        calibration: Calibration,
+        calibration: ModelOptions,
     ) -> list[ComparisonRow]:
         """Model and simulate every (app, config) cell of a figure."""
         self.prefetch_simulations([(app, spec) for app in apps for spec in specs])
@@ -516,7 +481,7 @@ class ExperimentRunner:
         barrier_scales: Iterable[float] = (0.0, 0.25, 1.0),
         adjustments: Iterable[float] = (0.0,),
         false_sharing_options: Iterable[bool] = (True, False),
-    ) -> tuple[Calibration, float]:
+    ) -> tuple[ModelOptions, float]:
         """Grid-search the global constants against the simulator.
 
         Minimizes the worst-case relative error over every cell -- the
@@ -538,30 +503,28 @@ class ExperimentRunner:
         fs_options = tuple(false_sharing_options) if needs_fs else (True,)
         tails = list(itertools.product(adjustments, fs_options))
         hierarchies: dict = {}
-        best: tuple[Calibration, float] | None = None
+        best: tuple[ModelOptions, float] | None = None
         for kappa, boost, bscale in itertools.product(cache_factors, boosts, barrier_scales):
+            knobs = ModelOptions(
+                cache_capacity_factor=kappa, contention_boost=boost, barrier_scale=bscale
+            )
             grid = [
-                Calibration(
-                    cache_capacity_factor=kappa,
-                    contention_boost=boost,
-                    barrier_scale=bscale,
-                    remote_rate_adjustment=adj,
-                    false_sharing=fs,
-                )
+                replace(knobs, remote_rate_adjustment=adj, false_sharing=fs)
                 for adj, fs in tails
             ]
             worst = np.zeros(len(grid))
             for app in apps:
                 params = self.characterization(app)
                 est = e_instr_seconds_batch(
-                    [self._case(app, spec, cal) for cal in grid for spec in specs],
+                    [
+                        cal.case(spec, *self.sharing(app, spec, cal.false_sharing))
+                        for cal in grid
+                        for spec in specs
+                    ],
                     params.locality,
                     params.gamma,
-                    mode=Calibration.mode,  # type: ignore[arg-type]
-                    barrier_scale=bscale,
-                    cache_capacity_factor=kappa,
-                    contention_boost=boost,
                     hierarchy_memo=hierarchies,
+                    **knobs.batch_knobs,
                 ).reshape(len(grid), len(specs))
                 # A saturated (inf) estimate makes its point's error inf.
                 err = np.abs(est - sims[app]) / sims[app]

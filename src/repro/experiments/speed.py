@@ -14,8 +14,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.core.batch import ModelOptions
 from repro.experiments.configs import TABLE3_SMPS, scaled
-from repro.experiments.runner import DEFAULT_CALIBRATION, Calibration, ExperimentRunner
+from repro.experiments.runner import DEFAULT_CALIBRATION, ExperimentRunner
 
 __all__ = ["SpeedResult", "run_speed_comparison"]
 
@@ -59,7 +60,7 @@ class SpeedResult:
 def run_speed_comparison(
     runner: ExperimentRunner | None = None,
     app: str = "FFT",
-    calibration: Calibration | None = None,
+    calibration: ModelOptions | None = None,
     model_repeats: int = 100,
 ) -> SpeedResult:
     """Time the two prediction paths on one representative cell."""

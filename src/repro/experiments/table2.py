@@ -36,10 +36,6 @@ class Table2Row:
     def measured_miss_at_probe(self) -> float:
         return float(self.measured.locality.tail(LOCALITY_PROBE_ITEMS))
 
-    @property
-    def paper_miss_at_probe(self) -> float:
-        return float(self.paper.locality.tail(LOCALITY_PROBE_ITEMS))
-
 
 @dataclass(frozen=True)
 class Table2Result:

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.amat import PAPER_REMOTE_RATE_ADJUSTMENT
+from repro.core.batch import ModelOptions
 from repro.core.platform import PlatformSpec
 from repro.core.validation import ComparisonRow, format_table
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.latencies import NetworkKind
 from repro.topology import clump_of_smps_spec
 
@@ -36,7 +37,7 @@ class TwoLevelResult:
     flat single-network strawmen."""
 
     rows: tuple[ComparisonRow, ...]
-    calibration: Calibration
+    calibration: ModelOptions
     two_level_name: str
 
     @property
@@ -130,7 +131,7 @@ def _platforms() -> list[PlatformSpec]:
 def run_two_level_comparison(
     runner: ExperimentRunner | None = None,
     applications: tuple[str, ...] = ("FFT", "LU"),
-    calibration: Calibration | None = None,
+    calibration: ModelOptions | None = None,
 ) -> TwoLevelResult:
     """Model and simulate every (application, platform) cell.
 

@@ -3,7 +3,7 @@
 Every service endpoint bottoms out here, and everything here is a plain
 synchronous function over the same model entry points the CLI prints
 from — :func:`repro.core.batch.e_instr_seconds_batch` for predictions
-(with the knobs of :func:`repro.cost.optimizer._batch_case`),
+(with the default :class:`~repro.core.batch.ModelOptions`),
 :class:`repro.cost.search.DesignSearch` for design queries, and the
 experiment runner's simulation path for submissions.  The serving layer
 (:mod:`repro.service.server`) adds queues, deadlines and breakers on
@@ -35,7 +35,8 @@ from typing import Mapping, Sequence
 from repro.core.amat import zero_contention_amat
 from repro.core.execution import MODES, e_instr_seconds
 from repro.core.platform import PlatformSpec
-from repro.cost.optimizer import ModelOptions, _batch_case, _predict_batch
+from repro.core.batch import ModelOptions
+from repro.cost.optimizer import _predict_batch
 from repro.cost.search import DesignQuery, DesignSearch
 from repro.sim.latencies import NAMED_NETWORKS as NETWORKS
 from repro.workloads.params import NAMED_WORKLOADS as WORKLOADS, WorkloadParams
@@ -389,9 +390,10 @@ class QueryAPI:
     """The service's brain: pure, deterministic, transport-free.
 
     One instance is shared by every request the server handles; the
-    only mutable state is the design engine's evaluation memo and the
-    per-seed simulation runners, both of which replay exact values, so
-    answers are independent of request interleaving.
+    only mutable state is the design engine's evaluation memo, which
+    replays exact values, so answers are independent of request
+    interleaving.  Simulations run in the server's worker pool from
+    :meth:`simulate_args`.
     """
 
     def __init__(
@@ -402,14 +404,11 @@ class QueryAPI:
         horizon: float = 200.0,
         metrics=None,
     ) -> None:
-        self.cache_dir = cache_dir
         #: Registry of ingested workloads that request bodies may name.
         self.workload_dir = workload_dir
         self.horizon = horizon
         kwargs = {"metrics": metrics} if metrics is not None else {}
         self._search = DesignSearch(cache_dir=cache_dir, **kwargs)
-        self._metrics = metrics
-        self._runners: dict[tuple, object] = {}
 
     # -- predict --------------------------------------------------------
     def predict(
@@ -456,14 +455,16 @@ class QueryAPI:
         the admissible bound :func:`zero_contention_amat`, always finite
         and never above the true answer.
         """
-        knobs = _batch_case(spec, workload, ModelOptions())
+        case = ModelOptions().case(
+            spec, workload.sharing_at(spec.N), workload.sharing_fresh_fraction
+        )
         bound = zero_contention_amat(
             spec.hierarchy(),
             workload.locality,
             workload.gamma,
-            remote_rate_adjustment=knobs.remote_rate_adjustment,
-            sharing_fraction=knobs.sharing_fraction,
-            sharing_fresh_fraction=knobs.sharing_fresh_fraction,
+            remote_rate_adjustment=case.remote_rate_adjustment,
+            sharing_fraction=case.sharing_fraction,
+            sharing_fresh_fraction=case.sharing_fresh_fraction,
         )
         return PredictAnswer(
             workload=workload.name,
@@ -505,24 +506,6 @@ class QueryAPI:
         ]
 
     # -- simulate -------------------------------------------------------
-    def _runner_for(self, seed: int, app_args_key: tuple, app_kwargs: dict | None):
-        key = (seed, app_args_key)
-        runner = self._runners.get(key)
-        if runner is None:
-            from repro.experiments.runner import ExperimentRunner
-
-            kwargs = {"metrics": self._metrics} if self._metrics is not None else {}
-            runner = ExperimentRunner(
-                seed=seed,
-                horizon=self.horizon,
-                jobs=1,
-                cache_dir=self.cache_dir,
-                app_kwargs=app_kwargs,
-                **kwargs,
-            )
-            self._runners[key] = runner
-        return runner
-
     def simulate_args(
         self,
         app: str,
@@ -533,8 +516,7 @@ class QueryAPI:
     ) -> tuple:
         """Validated args for :func:`repro.experiments.runner._simulate_cell`.
 
-        The server ships this tuple to its worker pool; in-process
-        callers use :meth:`simulate_submit` instead.  Raises
+        The server ships this tuple to its worker pool.  Raises
         :class:`QueryError` for an unknown application, a seed that is
         not a non-negative integer, non-object ``app_args``, a cache or
         memory beyond :data:`MAX_SIMULATED_CACHE_KB` /
@@ -579,23 +561,6 @@ class QueryAPI:
         for key, value in kwargs.items():
             _check_app_arg(app, key, value, params[key].annotation)
         return (app, seed, dict(kwargs), spec, self.horizon, None, None, False)
-
-    def simulate_submit(
-        self,
-        app: str,
-        spec: PlatformSpec,
-        *,
-        seed: int = 0,
-        app_args: Mapping | None = None,
-    ) -> SimulateAnswer:
-        """Run one simulation in-process (the no-pool path)."""
-        args = self.simulate_args(app, spec, seed=seed, app_args=app_args)
-        app_args_key = tuple(sorted((args[2]).items()))
-        runner = self._runner_for(
-            seed, app_args_key, {app: args[2]} if args[2] else None
-        )
-        res = runner.simulate(app, spec)
-        return self.simulate_answer(res, seed=seed)
 
     @staticmethod
     def simulate_answer(res, *, seed: int) -> SimulateAnswer:

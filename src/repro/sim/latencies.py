@@ -11,7 +11,8 @@ clusters manages 256-byte blocks (4 lines), also per the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 __all__ = [
@@ -91,6 +92,19 @@ class LatencyTable:
     remote_node: int = 0  #: miss served by another node's memory, via the network
     remote_cached: int = 0  #: miss served by data cached on a remote node
     remote_disk_extra: int = 0  #: surcharge of a remote over a local disk access
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 <= value <= sys.float_info.max
+            ):
+                raise ValueError(
+                    f"latency {f.name} must be a finite non-negative number "
+                    f"of cycles, got {value!r}"
+                )
 
     def with_network(self, network: "NetworkKind", clump: bool = False) -> "LatencyTable":
         """Return a copy with the paper's network-dependent costs filled in.

@@ -26,6 +26,7 @@ heterogeneous model reduce bit-for-bit to the paper's.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from repro.core.hierarchy import (
@@ -83,12 +84,18 @@ def _level_population(contention: Contention, procs_below: int, procs_per_child:
 _PathEntry = "tuple[InterconnectLevel, int, int, int, int]"
 
 
-def _leaf_paths(topology: Topology) -> list[tuple[MachineNode, list]]:
-    """``(leaf, ancestor path)`` for every machine, left to right."""
+def _leaf_paths(topology: Topology):
+    """``(leaf, ancestor path)`` for every machine, left to right.
+
+    A generator that never expands a ``count`` x ``child`` node into its
+    subtrees, so taking the first path costs the tree's depth, not its
+    machine count.
+    """
     if isinstance(topology, MachineNode):
-        return [(topology, [])]
-    out: list[tuple[MachineNode, list]] = []
-    for sub in topology.subtrees:
+        yield topology, []
+        return
+    subtrees = topology.children or itertools.repeat(topology.child, topology.count)
+    for sub in subtrees:
         entry = (
             topology.interconnect,
             topology.total_machines,
@@ -97,8 +104,7 @@ def _leaf_paths(topology: Topology) -> list[tuple[MachineNode, list]]:
             sub.total_processors,
         )
         for leaf, path in _leaf_paths(sub):
-            out.append((leaf, path + [entry]))
-    return out
+            yield leaf, path + [entry]
 
 
 def _fold_leaf(
@@ -234,8 +240,11 @@ def _aggregate_memory(topology: Topology) -> float:
 
     When every leaf holds the same capacity this is computed as the
     exact product the homogeneous fold always used (``M * items``), so
-    the boundary is bit-identical; unlike capacities are summed.
+    the boundary is bit-identical; unlike capacities are summed.  A
+    homogeneous tree is never expanded into its leaves.
     """
+    if topology.is_homogeneous:
+        return topology.total_machines * topology.machine.memory.capacity_items
     leaves = topology.leaves
     first = leaves[0].memory.capacity_items
     if all(leaf.memory.capacity_items == first for leaf in leaves[1:]):
@@ -272,7 +281,7 @@ def build_hierarchy(
             "repro.topology.build.leaf_hierarchies (one hierarchy per "
             "machine) with repro.scheduling"
         )
-    leaf, path = _leaf_paths(topology)[0]
+    leaf, path = next(_leaf_paths(topology))
     return _fold_leaf(
         leaf,
         path,

@@ -11,7 +11,10 @@ Two payload shapes are accepted:
 YAML is supported only when PyYAML happens to be installed (it is not a
 dependency of this project); JSON always works.  Every malformed file
 raises :class:`ValueError` with a pointed message so the CLI can reject
-it at the argparse layer.
+it at the argparse layer: a spec that loads has integer counts and
+sizes and finite numbers throughout (the platform and topology
+constructors check each value), so it round-trips through
+``to_dict``/``from_dict`` and folds into its hierarchy.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def _parse_text(text: str, path: Path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 def load_platform_payload(path: str | Path) -> dict:
@@ -91,3 +96,5 @@ def load_platform_file(path: str | Path):
         return platform_from_dict(payload)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: topology nests too deeply") from None

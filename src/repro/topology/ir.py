@@ -19,7 +19,10 @@ unit, :data:`repro.sim.latencies.ITEM_BYTES`) and every ``tau`` is an
 uncontended cost in CPU cycles, exactly the (s_i, tau_i) pairs of the
 paper's Eq. 7.  All classes are frozen dataclasses: topologies hash
 stably, compare by value, and round-trip losslessly through
-``to_dict``/``from_dict`` (the canonical cache-key material).  The
+``to_dict``/``from_dict`` (the canonical cache-key material).  Every
+count (processors, cluster ``count``, ``ways``) is an ``int``, never a
+``bool``, and every other number a finite ``int`` or ``float``, so a
+tree that constructs folds and round-trips.  The
 canonicalization of all-equal ``children`` to the sugar form means a
 homogeneous tree has exactly one in-memory representation -- and hence
 one hash -- no matter which constructor form built it.
@@ -27,11 +30,13 @@ one hash -- no matter which constructor form built it.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from repro.sim.latencies import NetworkKind
+from repro.sim.latencies import ITEM_BYTES, NetworkKind
 
 __all__ = [
     "CacheLevel",
@@ -44,6 +49,33 @@ __all__ = [
     "Topology",
     "topology_from_dict",
 ]
+
+
+#: The least positive float: the minimum of a quantity that must be > 0.
+_POSITIVE = math.ulp(0.0)
+#: Capacities stay finite in bytes, not only in items.
+_MAX_ITEMS = sys.float_info.max / ITEM_BYTES
+
+
+def _check_count(value, rule: str, minimum: int = 1) -> None:
+    """Raise ``ValueError(rule)`` unless ``value`` is an ``int``, not a
+    ``bool``, of at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{rule}, got {value!r}")
+
+
+def _check_number(
+    value, rule: str, minimum: float = 0.0, maximum: float = sys.float_info.max
+) -> None:
+    """Raise ``ValueError(rule)`` unless ``value`` is an ``int`` or
+    ``float``, not a ``bool``, in ``[minimum, maximum]``: finite, never
+    NaN."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not minimum <= value <= maximum
+    ):
+        raise ValueError(f"{rule}, got {value!r}")
 
 
 class Contention(str, Enum):
@@ -63,12 +95,12 @@ class CacheLevel:
     peer_tau_cycles: float = 15.0  #: cache-to-cache cost within a snoop group
 
     def __post_init__(self) -> None:
-        if self.capacity_items < 1:
-            raise ValueError(f"cache must hold at least one item, got {self.capacity_items!r}")
-        if self.tau_cycles < 0 or self.peer_tau_cycles < 0:
-            raise ValueError("cache costs must be non-negative")
-        if self.ways < 1:
-            raise ValueError(f"ways must be >= 1, got {self.ways!r}")
+        _check_number(
+            self.capacity_items, "cache must hold at least one item (finite)", 1.0, _MAX_ITEMS
+        )
+        for cost in (self.tau_cycles, self.peer_tau_cycles):
+            _check_number(cost, "cache costs must be finite and non-negative")
+        _check_count(self.ways, "ways must be an integer >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -87,10 +119,10 @@ class MemoryLevel:
     tau_cycles: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.capacity_items < 1:
-            raise ValueError(f"memory must hold at least one item, got {self.capacity_items!r}")
-        if self.tau_cycles < 0:
-            raise ValueError("memory cost must be non-negative")
+        _check_number(
+            self.capacity_items, "memory must hold at least one item (finite)", 1.0, _MAX_ITEMS
+        )
+        _check_number(self.tau_cycles, "memory cost must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return {"capacity_items": self.capacity_items, "tau_cycles": self.tau_cycles}
@@ -103,8 +135,7 @@ class DiskLevel:
     tau_cycles: float = 2000.0
 
     def __post_init__(self) -> None:
-        if self.tau_cycles < 0:
-            raise ValueError("disk cost must be non-negative")
+        _check_number(self.tau_cycles, "disk cost must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return {"tau_cycles": self.tau_cycles}
@@ -131,11 +162,12 @@ class InterconnectLevel:
     label: str  #: report label, e.g. ``"155Mb switch"`` or ``"inter-rack 100Mb bus"``
 
     def __post_init__(self) -> None:
-        if min(self.remote_node_cycles, self.remote_cached_cycles,
-               self.remote_disk_extra_cycles) < 0:
-            raise ValueError("interconnect costs must be non-negative")
-        if not self.label:
-            raise ValueError("an interconnect level needs a label")
+        for cost in (
+            self.remote_node_cycles, self.remote_cached_cycles, self.remote_disk_extra_cycles
+        ):
+            _check_number(cost, "interconnect costs must be finite and non-negative")
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError(f"an interconnect level needs a label string, got {self.label!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -167,16 +199,14 @@ class MachineNode:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.processors < 1:
-            raise ValueError(f"a machine needs >= 1 processor, got {self.processors!r}")
+        _check_count(self.processors, "a machine needs an integer >= 1 of processors")
         if self.memory.capacity_items <= self.cache.capacity_items:
             raise ValueError("memory must be larger than the cache")
         if self.l2 is not None and not (
             self.cache.capacity_items < self.l2.capacity_items < self.memory.capacity_items
         ):
             raise ValueError("L2 must sit strictly between the cache and memory")
-        if not (self.speed > 0.0 and self.speed != float("inf")):
-            raise ValueError(f"machine speed must be positive and finite, got {self.speed!r}")
+        _check_number(self.speed, "machine speed must be positive and finite", _POSITIVE)
 
     # -- tree queries --------------------------------------------------
     @property
@@ -295,8 +325,7 @@ class ClusterNode:
                 raise ValueError(
                     f"cluster child must be a topology node, got {type(self.child).__name__}"
                 )
-            if self.count is None or self.count < 2:
-                raise ValueError(f"a cluster level joins >= 2 subtrees, got {self.count!r}")
+            _check_count(self.count, "a cluster level joins an integer >= 2 subtrees", 2)
 
     # -- tree queries --------------------------------------------------
     @property
@@ -446,6 +475,8 @@ def _interconnect_from_dict(d: dict) -> InterconnectLevel:
     except ValueError:
         raise ValueError(f"contention must be 'bus' or 'switch', got {raw_cont!r}") from None
     remote_node = _require(d, "remote_node_cycles", "interconnect")
+    # Checked before the defaults below are derived from it.
+    _check_number(remote_node, "interconnect costs must be finite and non-negative")
     return InterconnectLevel(
         network=network,
         contention=contention,

@@ -91,13 +91,9 @@ class MixedWorkload:
         """Reference-weighted mean beta (diagnostic only)."""
         return float(sum(w * m.beta for m, w in zip(self.members, self.locality.weights)))
 
-    def sharing_at(self, machines: int) -> float:
-        if machines < 2 or self.sharing_fraction == 0.0:
-            return 0.0
-        if self.sharing_procs < 2:
-            return self.sharing_fraction * (machines - 1) / machines
-        base = (self.sharing_procs - 1) / self.sharing_procs
-        return min(1.0, self.sharing_fraction * ((machines - 1) / machines) / base)
+    #: The rescale reads only ``sharing_fraction`` and ``sharing_procs``,
+    #: which a mixture carries under the same names.
+    sharing_at = WorkloadParams.sharing_at
 
     def describe(self) -> str:
         parts = ", ".join(

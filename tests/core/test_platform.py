@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.hierarchy import PlatformKind
-from repro.core.platform import NetworkSpec, NetworkTopology, PlatformSpec
+from repro.core.platform import PlatformSpec
 from repro.sim.latencies import CPU_HZ, ITEM_BYTES, NetworkKind
 
 KB = 1024
@@ -123,17 +123,6 @@ class TestScaling:
             b.cache_bytes, b.memory_bytes, b.l2_bytes
         )
         assert a.topology is None
-
-
-class TestNetworkSpec:
-    def test_topology(self):
-        assert NetworkSpec(NetworkKind.ETHERNET_10).topology is NetworkTopology.BUS
-        assert NetworkSpec(NetworkKind.ETHERNET_100).topology is NetworkTopology.BUS
-        assert NetworkSpec(NetworkKind.ATM_155).topology is NetworkTopology.SWITCH
-
-    def test_bandwidth(self):
-        assert NetworkSpec(NetworkKind.ATM_155).bandwidth_mbps == 155
-        assert NetworkSpec(NetworkKind.ETHERNET_10).bandwidth_mbps == 10
 
 
 class TestCustomLatencies:

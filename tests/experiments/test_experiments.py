@@ -1,6 +1,7 @@
 """Integration tests of the experiment modules at reduced size."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.core.platform import PlatformSpec
 from repro.experiments.casestudies import run_case_studies, run_fft_claim
 from repro.experiments.figures import FigureResult, _run_figure
 from repro.experiments.recommendations import run_recommendations
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 from repro.experiments.speed import run_speed_comparison
 from repro.experiments.table2 import run_table2
 from repro.cost.configspace import CandidateSpace
@@ -44,9 +45,9 @@ class TestMiniFigures:
         res = figs.FigureResult(
             figure="mini",
             rows=tuple(
-                small_runner.compare(["EDGE", "FFT"], MINI_SMPS, Calibration())
+                small_runner.compare(["EDGE", "FFT"], MINI_SMPS, DEFAULT_CALIBRATION)
             ),
-            calibration=Calibration(),
+            calibration=DEFAULT_CALIBRATION,
             paper_bound=0.05,
         )
         assert 0 < res.worst_error < 10.0
@@ -55,7 +56,7 @@ class TestMiniFigures:
 
     def test_mini_cow_figure(self, small_runner):
         rows = small_runner.compare(
-            ["EDGE"], MINI_COWS, Calibration(remote_rate_adjustment=0.124)
+            ["EDGE"], MINI_COWS, replace(DEFAULT_CALIBRATION, remote_rate_adjustment=0.124)
         )
         assert all(math.isfinite(r.modeled) for r in rows)
         assert all(r.simulated > 0 for r in rows)
@@ -67,7 +68,7 @@ class TestMiniFigures:
             ComparisonRow("A", "C1", 1.0, 1.0),
             ComparisonRow("A", "C2", 2.0, 2.0),
         )
-        res = FigureResult(figure="x", rows=rows, calibration=Calibration(), paper_bound=0.05)
+        res = FigureResult(figure="x", rows=rows, calibration=DEFAULT_CALIBRATION, paper_bound=0.05)
         assert res.ordering_agreement() == 1.0
         assert res.worst_error == 0.0
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.validation import ComparisonRow
 from repro.experiments.export import figure_to_csv, result_to_json, table2_to_csv, write_text
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 from repro.experiments.table2 import Table2Result, Table2Row
 from repro.workloads.params import PAPER_FFT, WorkloadParams
 
@@ -20,7 +20,7 @@ def _figure():
         ComparisonRow("FFT", "C1", 1.0e-8, 1.1e-8),
         ComparisonRow("LU", "C1", 3.0e-8, 2.5e-8),
     )
-    return FigureResult(figure="Fig-X", rows=rows, calibration=Calibration(), paper_bound=0.05)
+    return FigureResult(figure="Fig-X", rows=rows, calibration=DEFAULT_CALIBRATION, paper_bound=0.05)
 
 
 def _table2():
@@ -54,7 +54,7 @@ class TestJson:
 
     def test_infinities_become_null(self):
         rows = (ComparisonRow("A", "C", math.inf, 1.0),)
-        res = FigureResult(figure="f", rows=rows, calibration=Calibration(), paper_bound=0.1)
+        res = FigureResult(figure="f", rows=rows, calibration=DEFAULT_CALIBRATION, paper_bound=0.1)
         data = json.loads(result_to_json(res))
         assert data["rows"][0]["modeled"] is None
 

@@ -8,10 +8,12 @@ work on the model-vs-simulation gap is judged against these numbers.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.figures import run_figure2, run_figure3, run_figure4
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import DEFAULT_CALIBRATION, ExperimentRunner
 
 #: The grid-smp and grid-cluster benchmark workloads' application sizes.
 APP_KWARGS = {
@@ -29,19 +31,20 @@ GATE = {
         0.24767284709759496,
         0.7028309605629194,
         56 / 60,
-        Calibration(cache_capacity_factor=0.35),
+        replace(DEFAULT_CALIBRATION, cache_capacity_factor=0.35),
     ),
     3: (
         0.34557698909037754,
         0.8403953242785897,
         34 / 40,
-        Calibration(cache_capacity_factor=1.0),
+        replace(DEFAULT_CALIBRATION, cache_capacity_factor=1.0),
     ),
     4: (
         0.4629794792023515,
         0.8093450893290468,
         21 / 24,
-        Calibration(
+        replace(
+            DEFAULT_CALIBRATION,
             cache_capacity_factor=1.0,
             remote_rate_adjustment=0.124,
             false_sharing=False,

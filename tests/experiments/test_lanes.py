@@ -14,7 +14,7 @@ serves the other (per-cell keys do not depend on the path).
 from __future__ import annotations
 
 from repro.core.platform import PlatformSpec
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import DEFAULT_CALIBRATION, ExperimentRunner
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.latencies import NetworkKind
 
@@ -86,7 +86,7 @@ class TestRunnerLanes:
         assert runner._pool.pools_spawned == 0
 
     def test_pool_rows_equal_in_process_rows(self, small_app_kwargs):
-        cal = Calibration()
+        cal = DEFAULT_CALIBRATION
         in_process = _runner(small_app_kwargs, jobs=1, cache_dir=None)
         pooled = _runner(small_app_kwargs, jobs=2, cache_dir=None)
         assert pooled.compare(APPS, SPECS, cal) == in_process.compare(APPS, SPECS, cal)

@@ -11,7 +11,7 @@ import pytest
 import repro.experiments.reporting as reporting
 from repro.core.validation import ComparisonRow
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 from repro.experiments.table2 import Table2Result, Table2Row
 from repro.workloads.params import PAPER_FFT, WorkloadParams
 
@@ -26,7 +26,7 @@ class _Stub:
 
 def _fake_figure(name: str) -> FigureResult:
     rows = (ComparisonRow("FFT", "C1", 1.0e-8, 1.1e-8),)
-    return FigureResult(figure=name, rows=rows, calibration=Calibration(), paper_bound=0.05)
+    return FigureResult(figure=name, rows=rows, calibration=DEFAULT_CALIBRATION, paper_bound=0.05)
 
 
 def _fake_table2() -> Table2Result:

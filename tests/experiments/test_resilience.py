@@ -20,11 +20,11 @@ import time
 
 import pytest
 
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import DEFAULT_CALIBRATION, ExperimentRunner
 from repro.obs.metrics import MetricsRegistry
 from tests.experiments.test_runner_parallel import APPS, SPECS
 
-CAL = Calibration()
+CAL = DEFAULT_CALIBRATION
 
 
 def _runner(small_app_kwargs, **kwargs) -> ExperimentRunner:

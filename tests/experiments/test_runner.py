@@ -2,12 +2,13 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.runner as runner_module
 from repro.core.platform import PlatformSpec
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import DEFAULT_CALIBRATION, ExperimentRunner
 from repro.sim.latencies import NetworkKind
 
 KB = 1024
@@ -46,7 +47,8 @@ def _scalar_calibrate(
     for kappa, boost, bscale, adj, fs in itertools.product(
         cache_factors, boosts, barrier_scales, adjustments, fs_options
     ):
-        cal = Calibration(
+        cal = replace(
+            DEFAULT_CALIBRATION,
             cache_capacity_factor=kappa,
             contention_boost=boost,
             barrier_scale=bscale,
@@ -104,11 +106,11 @@ class TestCaching:
 
 class TestModelAndCompare:
     def test_model_finite_on_smp(self, small_runner):
-        est = small_runner.model("EDGE", SPECS[0], Calibration())
+        est = small_runner.model("EDGE", SPECS[0], DEFAULT_CALIBRATION)
         assert math.isfinite(est.e_instr_seconds)
 
     def test_compare_grid_complete(self, small_runner):
-        rows = small_runner.compare(["EDGE", "FFT"], SPECS, Calibration())
+        rows = small_runner.compare(["EDGE", "FFT"], SPECS, DEFAULT_CALIBRATION)
         assert len(rows) == 2
         assert {r.application for r in rows} == {"EDGE", "FFT"}
         assert all(r.simulated > 0 and r.modeled > 0 for r in rows)
@@ -135,7 +137,9 @@ class TestCalibrate:
             for b in grid["barrier_scales"]:
                 est = small_runner.model(
                     "EDGE", SPECS[0],
-                    Calibration(cache_capacity_factor=kappa, barrier_scale=b),
+                    replace(
+                        DEFAULT_CALIBRATION, cache_capacity_factor=kappa, barrier_scale=b
+                    ),
                 )
                 assert err <= abs(est.e_instr_seconds - sim) / sim + 1e-12
 

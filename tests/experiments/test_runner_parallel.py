@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.platform import PlatformSpec
-from repro.experiments.runner import Calibration, ExperimentRunner
+from repro.experiments.runner import DEFAULT_CALIBRATION, ExperimentRunner
 from repro.sim.latencies import NetworkKind
 
 KB = 1024
@@ -34,13 +34,13 @@ class TestParallelGrid:
     def test_parallel_rows_equal_serial(self, small_app_kwargs, tmp_path):
         serial = _runner(small_app_kwargs, jobs=1, cache_dir=tmp_path / "a")
         parallel = _runner(small_app_kwargs, jobs=2, cache_dir=tmp_path / "b")
-        cal = Calibration()
+        cal = DEFAULT_CALIBRATION
         assert parallel.compare(APPS, SPECS, cal) == serial.compare(APPS, SPECS, cal)
 
     def test_parallel_without_disk_cache(self, small_app_kwargs, tmp_path):
         serial = _runner(small_app_kwargs, jobs=1, cache_dir=tmp_path)
         parallel = _runner(small_app_kwargs, jobs=2, cache_dir=None)
-        cal = Calibration()
+        cal = DEFAULT_CALIBRATION
         assert parallel.compare(APPS, SPECS, cal) == serial.compare(APPS, SPECS, cal)
 
     def test_jobs_must_be_positive(self, small_app_kwargs):
@@ -63,7 +63,7 @@ class TestDiskCache:
         assert not list(tmp_path.rglob("*.pkl"))
 
     def test_warm_rerun_never_resimulates(self, small_app_kwargs, tmp_path, monkeypatch):
-        cal = Calibration()
+        cal = DEFAULT_CALIBRATION
         cold = _runner(small_app_kwargs, jobs=1, cache_dir=tmp_path)
         expected = cold.compare(APPS, SPECS, cal)
 

@@ -2,15 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 
-from repro.experiments.runner import Calibration
+from repro.experiments.runner import DEFAULT_CALIBRATION
 from repro.experiments.topologies import (
     TwoLevelResult,
     _platforms,
     run_two_level_comparison,
 )
 
-CAL = Calibration(remote_rate_adjustment=0.124)
+CAL = replace(DEFAULT_CALIBRATION, remote_rate_adjustment=0.124)
 
 
 class TestPlatforms:

@@ -213,16 +213,16 @@ class TestSimulate:
             )
 
     def test_submit_matches_the_runner(self, api):
-        from repro.experiments.runner import ExperimentRunner
+        from repro.experiments.runner import ExperimentRunner, _simulate_cell
 
         spec = platform_from_obj(
             {"machines": 1, "procs_per_machine": 2, "cache_kb": 64}
         )
-        answer = api.simulate_submit(
-            "FFT", spec, seed=3, app_args={"points": 256}
-        )
+        # What the server submits to a pool worker, run in-process.
+        args = api.simulate_args("FFT", spec, seed=3, app_args={"points": 256})
+        answer = api.simulate_answer(_simulate_cell(args)[0], seed=3)
         runner = ExperimentRunner(
-            seed=3, jobs=1, app_kwargs={"FFT": {"points": 256}}
+            seed=3, jobs=1, cache_dir=None, app_kwargs={"FFT": {"points": 256}}
         )
         expected = runner.simulate("FFT", spec)
         assert answer.total_cycles == float(expected.total_cycles)

@@ -276,18 +276,18 @@ class TestAdmission:
 
 class TestSimulatePath:
     def test_simulate_roundtrip_through_the_worker_pool(self):
+        from repro.experiments.runner import ExperimentRunner
+
         def client(request, service):
             return request("POST", "/v1/simulate", SIM_BODY)
 
         status, obj = drive(client, config=ServiceConfig(jobs=1))
         assert status == 200
-        expected = QueryAPI(cache_dir=None).simulate_submit(
-            "FFT",
-            __import__("repro.service.api", fromlist=["platform_from_obj"]).platform_from_obj(SIM_BODY),
-            seed=0,
-            app_args={"points": 256},
+        runner = ExperimentRunner(
+            seed=0, jobs=1, cache_dir=None, app_kwargs={"FFT": {"points": 256}}
         )
-        assert obj["total_cycles"] == expected.total_cycles
+        expected = runner.simulate("FFT", platform_from_obj(SIM_BODY))
+        assert obj["total_cycles"] == float(expected.total_cycles)
         assert obj["degraded"] is False
 
     def test_killed_worker_trips_breaker_and_degrades_predicts(self):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.execution import evaluate
 from repro.core.platform import PlatformSpec
-from repro.experiments.runner import Calibration
 from repro.sim.engine import SimulationEngine
 from repro.sim.latencies import NetworkKind
 from repro.trace.analysis import characterize_run
