@@ -52,6 +52,7 @@ from repro.cost.optimizer import ModelOptions, _predict, optimize_upgrade
 from repro.cost.recommend import recommend
 from repro.cost.search import METHODS
 from repro.service.api import (
+    MAX_PROCESSORS,
     PLATFORM_KEYS,
     REQUEST_KEYS,
     WORKLOAD_KEYS,
@@ -149,6 +150,18 @@ def _existing_file(text: str) -> str:
     return str(text)
 
 
+def _bounded_platform(path, platform):
+    """``platform``, loaded from ``path``, if it has at most
+    :data:`MAX_PROCESSORS` processors -- the bound the shape flags get.
+    The count is closed-form on the tree, so no machine is expanded."""
+    if platform.total_processors > MAX_PROCESSORS:
+        raise argparse.ArgumentTypeError(
+            f"{path}: {platform.total_processors} processors exceed the "
+            f"limit of {MAX_PROCESSORS}"
+        )
+    return platform
+
+
 def _platform_arg(text: str) -> PlatformSpec:
     """Resolve ``--platform``: a built-in name or a topology JSON/YAML file.
 
@@ -164,9 +177,10 @@ def _platform_arg(text: str) -> PlatformSpec:
     path = Path(text)
     if path.exists() or path.suffix.lower() in (".json", ".yaml", ".yml"):
         try:
-            return load_platform_file(path)
+            platform = load_platform_file(path)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        return _bounded_platform(path, platform)
     known = ", ".join(sorted(BUILTIN_PLATFORMS))
     raise argparse.ArgumentTypeError(
         f"{text!r} is neither a built-in platform ({known}) nor a "
@@ -206,9 +220,10 @@ def _hetero_platform_arg(text: str):
     path = Path(text)
     if path.exists() or path.suffix.lower() in (".json", ".yaml", ".yml"):
         try:
-            return load_hetero_platform_file(path)
+            platform = load_hetero_platform_file(path)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        return _bounded_platform(path, platform)
     known = ", ".join(sorted([*BUILTIN_MIXED_TOPOLOGIES, *BUILTIN_PLATFORMS]))
     raise argparse.ArgumentTypeError(
         f"{text!r} is neither a built-in platform ({known}) nor a "

@@ -199,6 +199,10 @@ def ingest(
     ``stop_early`` honours the convergence stop rule and skips the rest
     of the stream.  ``gamma`` overrides the measured value for
     address-only sources that carry no work counts.
+
+    ``seconds``, and so records/s, spans the whole call.  In a process
+    that has not fitted yet, that includes the one-time import of the
+    SciPy solver at the first fit.
     """
     if fit_every < 1:
         raise ValueError("fit_every must be >= 1")

@@ -14,7 +14,7 @@ dominance counting and solve *all* references simultaneously with a
 wavelet matrix built from numpy primitives:
 
 1. ``prev[t]``, the previous position of the item at position ``t``,
-   is obtained from one stable argsort of (item, position).
+   is obtained from one sort of the unique key (item, position).
 2. The number of distinct items in the window ``(p, t)`` (with
    ``p = prev[t]``) equals ``(t - p - 1)`` minus the number of positions
    ``u`` in the window whose own ``prev[u]`` also lies inside it
@@ -71,19 +71,19 @@ COLD_DISTANCE = -1
 def prev_occurrence(items: np.ndarray) -> np.ndarray:
     """prev[t]: index of the previous occurrence of items[t], or -1.
 
-    One stable argsort groups equal items in position order; shifting
-    within groups yields the predecessor indices.
+    One sort groups equal items in position order; shifting within
+    groups yields the predecessor indices.
     """
     return _occurrences(items)[0]
 
 
 def _occurrences(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``prev_occurrence(items)``, the distinct items in sorted order, and
-    the position of each one's last occurrence -- all from one argsort."""
+    the position of each one's last occurrence -- all from one sort."""
     items = np.ascontiguousarray(items)
     if items.ndim != 1:
         raise ValueError("items must be a 1-D array")
-    order = np.argsort(items, kind="stable")
+    order = _grouping_order(items)
     ranked = items[order]
     repeat = ranked[1:] == ranked[:-1]  # same item as its left neighbour
     prev = np.full(items.size, -1, dtype=np.int64)
@@ -91,6 +91,32 @@ def _occurrences(items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     last = np.ones(items.size, dtype=bool)
     np.logical_not(repeat, out=last[:-1])
     return prev, ranked[last], order[last]
+
+
+def _grouping_order(items: np.ndarray) -> np.ndarray:
+    """``np.argsort(items, kind="stable")``: equal items grouped, each
+    group in position order.
+
+    NumPy runs a stable int64 argsort as a timsort.  When every item,
+    less the minimum, still fits in int64 beside a position's bits, the
+    key ``(item - min) << bits | position`` is unique and orders the
+    same way, so the default (unstable, vectorised) sort of the key
+    gives the same order, read back from its low bits.  Other inputs
+    keep the stable argsort.
+    """
+    n = items.size
+    if n > 1 and np.can_cast(items.dtype, np.int64):
+        values = items.astype(np.int64, copy=False)
+        lo = values.min()
+        bits = (n - 1).bit_length()
+        if int(values.max()) - int(lo) < 1 << (63 - bits):
+            key = np.subtract(values, lo)
+            key <<= bits
+            key |= np.arange(n, dtype=np.int64)
+            key.sort()
+            key &= (1 << bits) - 1
+            return key
+    return np.argsort(items, kind="stable")
 
 
 def count_greater_before(values: np.ndarray) -> np.ndarray:

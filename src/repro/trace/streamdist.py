@@ -27,9 +27,10 @@ referenced since that occurrence as ``A + B``:
   chunk-first subsequence only.
 
 After emitting, the chunk's distinct items are re-slotted above all
-existing slots in last-occurrence order (one sorted merge), preserving
-the invariant; the items and their last positions come from the argsort
-that found each reference's previous occurrence.  Unbounded, the table
+existing slots in last-occurrence order (one ``searchsorted`` merge into
+the table), preserving the invariant; the items and their last
+positions come from the sort that found each reference's previous
+occurrence.  Unbounded, the table
 holds the trace footprint and every distance is **bit-identical** to
 the offline engine (property-tested).
 With ``max_live_items`` set, the *least recent* items are evicted when
@@ -157,24 +158,22 @@ class StreamingStackDistance:
         """
         k = new_items.size
         # Slots are handed out in last-occurrence order so that slot
-        # order stays recency order.
-        order = np.argsort(last_pos, kind="stable")
+        # order stays recency order (the positions are distinct).
+        order = np.argsort(last_pos)
         new_slots = np.empty(k, dtype=np.int64)
         new_slots[order] = np.arange(self._next_slot, self._next_slot + k)
         self._next_slot += k
 
-        # One stable merge keyed by item; on duplicates the chunk's
-        # entry (later in the concatenation) wins.
-        items = np.concatenate([self._items, new_items])
-        slots = np.concatenate([self._slots, new_slots])
-        sort_idx = np.argsort(items, kind="stable")
-        items = items[sort_idx]
-        slots = slots[sort_idx]
-        keep = np.empty(items.size, dtype=bool)
-        keep[-1] = True
-        np.not_equal(items[1:], items[:-1], out=keep[:-1])
-        self._items = items[keep]
-        self._slots = slots[keep]
+        # Merge the two sorted, distinct item lists: an item already in
+        # the table takes the chunk's slot, the others are inserted at
+        # their sorted place.
+        at = np.searchsorted(self._items, new_items)
+        known = at < self._items.size
+        known[known] = self._items[at[known]] == new_items[known]
+        self._slots[at[known]] = new_slots[known]
+        fresh = ~known
+        self._items = np.insert(self._items, at[fresh], new_items[fresh])
+        self._slots = np.insert(self._slots, at[fresh], new_slots[fresh])
 
         live = self._items.size
         self.peak_live_items = max(self.peak_live_items, live)
@@ -194,7 +193,7 @@ class StreamingStackDistance:
 
     def _renumber(self) -> None:
         """Compact slot values to 0..live-1, preserving recency order."""
-        order = np.argsort(self._slots, kind="stable")
+        order = np.argsort(self._slots)  # slots are distinct
         dense = np.empty(self._slots.size, dtype=np.int64)
         dense[order] = np.arange(self._slots.size)
         self._slots = dense

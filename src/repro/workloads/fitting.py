@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.locality import StackDistanceModel
 from repro.trace.stackdist import lru_hit_ratios
@@ -61,6 +60,11 @@ def fit_stack_distance_model(
     initial:
         Starting (alpha, beta) for the trust-region solver.
     """
+    # SciPy is imported here, not at module level: it is the only SciPy
+    # user in the package, and loading it costs every process ~0.4 s and
+    # ~40 MiB, so only a process that fits a locality model pays for it.
+    from scipy.optimize import least_squares
+
     x = np.ascontiguousarray(capacities, dtype=np.float64)
     y = np.ascontiguousarray(hit_ratios, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:

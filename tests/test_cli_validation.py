@@ -269,6 +269,61 @@ class TestPlatformArg:
         assert "error:" in capsys.readouterr().err
 
 
+class TestPlatformFileBound:
+    """A loaded platform file gets the processor bound the shape flags
+    have: above ``MAX_PROCESSORS`` it dies at parse time, naming the
+    file, before any model is evaluated."""
+
+    @staticmethod
+    def _cow_file(tmp_path, machines):
+        import json
+
+        from repro.core.platform import PlatformSpec
+        from repro.sim.latencies import NetworkKind
+        from repro.topology.canned import topology_for_spec
+
+        spec = PlatformSpec(
+            "wide-cow", n=1, N=machines, cache_bytes=256 * 1024,
+            memory_bytes=64 * 1024 * 1024, network=NetworkKind.ETHERNET_100,
+        )
+        path = tmp_path / f"cow{machines}.json"
+        path.write_text(json.dumps(
+            {"name": "wide-cow", "topology": topology_for_spec(spec).to_dict()}
+        ))
+        return str(path)
+
+    @staticmethod
+    def _refuse_models(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was evaluated")
+
+        monkeypatch.setattr("repro.cli._predict", refuse)
+        monkeypatch.setattr("repro.scheduling.compare_policies", refuse)
+
+    @pytest.mark.parametrize("command", ["predict", "schedule"])
+    def test_too_many_processors_exit_2_naming_the_file(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        from repro.service.api import MAX_PROCESSORS
+
+        path = self._cow_file(tmp_path, 2 * MAX_PROCESSORS)
+        self._refuse_models(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workload", "FFT", "--platform", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: 2048 processors exceed the limit of 1024" in err
+
+    def test_the_limit_itself_is_accepted(self, tmp_path, capsys):
+        from repro.service.api import MAX_PROCESSORS
+
+        path = self._cow_file(tmp_path, MAX_PROCESSORS)
+        assert main(["predict", "--workload", "FFT", "--platform", path]) == 0
+        assert "E(Instr) =" in capsys.readouterr().out
+        args = _parse(["schedule", "--workload", "FFT", "--platform", path])
+        assert args.platform.total_processors == MAX_PROCESSORS
+
+
 class TestDesignTopologyOptions:
     def test_rack_size_must_hold_two_machines(self, capsys):
         with pytest.raises(SystemExit) as exc:

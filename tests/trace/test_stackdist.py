@@ -14,6 +14,7 @@ from repro.trace.stackdist import (
     stack_distances,
     stack_distances_naive,
 )
+from repro.trace.streamdist import StreamingStackDistance
 
 
 class TestPrevOccurrence:
@@ -79,6 +80,43 @@ class TestAgainstNaive:
         np.testing.assert_array_equal(
             stack_distances(items), stack_distances_naive(items)
         )
+
+    def test_items_too_wide_for_the_sort_key(self):
+        """Items near +-2**62 leave no room for a position's bits in an
+        int64 ``(item - min, position)`` key, so the grouping falls back
+        to the stable argsort; the streaming engine, which sorts each
+        chunk the same way, must still agree with the offline one."""
+        rng = np.random.default_rng(5)
+        items = rng.choice(
+            np.array([-(2**62), -(2**62) + 1, 3, 2**62, 2**62 + 7]), size=400
+        )
+        bits = (items.size - 1).bit_length()
+        assert int(items.max()) - int(items.min()) >= 1 << (63 - bits)
+        expected = stack_distances_naive(items)
+        np.testing.assert_array_equal(stack_distances(items), expected)
+        engine = StreamingStackDistance()
+        streamed = np.concatenate(
+            [engine.update(items[i : i + 64]) for i in range(0, 400, 64)]
+        )
+        np.testing.assert_array_equal(streamed, expected)
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            np.array([2**31 - 1, -(2**31), 2**31 - 1, 0, -(2**31)], dtype=np.int32),
+            np.array([2**64 - 1, 0, 2**64 - 1, 5], dtype=np.uint64),
+            np.array([3, 1, 3, 3, 1], dtype=np.uint8),
+            np.array([2.5, 1.0, 2.5, 2.5], dtype=np.float64),
+        ],
+        ids=["int32-extremes", "uint64", "uint8", "float"],
+    )
+    def test_prev_occurrence_on_other_dtypes(self, items):
+        seen: dict = {}
+        expected = []
+        for t, item in enumerate(items.tolist()):
+            expected.append(seen.get(item, -1))
+            seen[item] = t
+        np.testing.assert_array_equal(prev_occurrence(items), expected)
 
 
 class TestHitRatios:
